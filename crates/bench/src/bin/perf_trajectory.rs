@@ -32,14 +32,12 @@
 
 use std::time::Instant;
 
+use helios_bench::TRAJECTORY_PR as PR;
 use helios_core::campaign::{CampaignSpec, ShardSpec, SweepDriver};
 use helios_core::{Engine, EngineConfig};
 use helios_platform::presets;
 use helios_sched::{RoundRobinScheduler, Scheduler};
 use helios_workflow::generators::synthetic::{layered_random, LayeredConfig};
-
-/// The PR number this trajectory file belongs to.
-const PR: u32 = 10;
 
 struct SeriesOut {
     name: &'static str,

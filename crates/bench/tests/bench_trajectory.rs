@@ -4,6 +4,8 @@
 
 use std::path::PathBuf;
 
+use helios_bench::TRAJECTORY_PR as PR;
+
 /// Every series the trajectory file must carry, by stable name.
 const REQUIRED_SERIES: [&str; 4] = [
     "paper_grid_cells_per_sec",
@@ -11,10 +13,6 @@ const REQUIRED_SERIES: [&str; 4] = [
     "merge_rows_per_sec",
     "synthetic_dag_steps_per_sec",
 ];
-
-/// The PR whose trajectory file this tree pins (matches
-/// `perf_trajectory::PR`).
-const PR: u32 = 10;
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

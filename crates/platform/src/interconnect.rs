@@ -250,9 +250,15 @@ impl Interconnect {
         from: DeviceId,
         to: DeviceId,
     ) -> Result<SimDuration, PlatformError> {
+        Ok(apply_terms(self.route_terms(from, to)?, bytes))
+    }
+
+    /// The route's summed latency and bandwidth denominator
+    /// `min_bw * 1e9`, or `None` for an empty (same-device) route.
+    fn route_terms(&self, from: DeviceId, to: DeviceId) -> Result<RouteTerms, PlatformError> {
         let route = self.route(from, to)?;
         if route.is_empty() {
-            return Ok(SimDuration::ZERO);
+            return Ok(None);
         }
         let mut latency = SimDuration::ZERO;
         let mut min_bw = f64::INFINITY;
@@ -261,7 +267,21 @@ impl Interconnect {
             latency += link.latency();
             min_bw = min_bw.min(link.bandwidth_gbs());
         }
-        Ok(latency + SimDuration::from_secs(bytes / (min_bw * 1e9)))
+        Ok(Some((latency, min_bw * 1e9)))
+    }
+
+    /// Every ordered pair's route terms among devices `0..num_devices`,
+    /// walked once so repeated queries never re-walk routes.
+    #[must_use]
+    pub fn pair_terms(&self, num_devices: usize) -> PairTerms {
+        let row = |from| {
+            (0..num_devices)
+                .map(|to| self.route_terms(DeviceId(from), DeviceId(to)))
+                .collect()
+        };
+        PairTerms {
+            terms: (0..num_devices).map(row).collect(),
+        }
     }
 
     /// Returns a copy with every link's bandwidth multiplied by `factor`
@@ -292,6 +312,44 @@ impl Interconnect {
             routes: self.routes.clone(),
             default_link: self.default_link,
         })
+    }
+}
+
+/// A route's `(latency, min_bw * 1e9)`, or `None` when it is empty.
+type RouteTerms = Option<(SimDuration, f64)>;
+
+/// The one place a transfer time is computed from route terms.
+fn apply_terms(terms: RouteTerms, bytes: f64) -> SimDuration {
+    match terms {
+        None => SimDuration::ZERO,
+        Some((latency, denom)) => latency + SimDuration::from_secs(bytes / denom),
+    }
+}
+
+/// Every ordered device pair's route terms, for hot loops that query
+/// transfer times repeatedly.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairTerms {
+    /// `terms[from][to]`, holding the pair's routing error if it has one.
+    terms: Vec<Vec<Result<RouteTerms, PlatformError>>>,
+}
+
+impl PairTerms {
+    /// Bit-equal to [`Interconnect::transfer_time`], errors included.
+    /// Panics if either device lies outside the table.
+    ///
+    /// # Errors
+    ///
+    /// The routing error of an unroutable pair.
+    pub fn transfer_time(
+        &self,
+        bytes: f64,
+        from: DeviceId,
+        to: DeviceId,
+    ) -> Result<SimDuration, PlatformError> {
+        self.terms[from.0][to.0]
+            .clone()
+            .map(|terms| apply_terms(terms, bytes))
     }
 }
 

@@ -198,21 +198,37 @@ impl Platform {
     ///
     /// Returns [`PlatformError::NoRoute`] if any pair has no route.
     pub fn mean_transfer_time(&self, bytes: f64) -> Result<SimDuration, PlatformError> {
+        Ok(self.mean_transfer_times([bytes])?[0])
+    }
+
+    /// [`Platform::mean_transfer_time`] of every payload in `bytes`, in
+    /// order, walking the routes once for the whole batch.
+    ///
+    /// # Errors
+    ///
+    /// The first unroutable pair's error, unless `bytes` is empty.
+    pub fn mean_transfer_times(
+        &self,
+        bytes: impl IntoIterator<Item = f64>,
+    ) -> Result<Vec<SimDuration>, PlatformError> {
         let n = self.devices.len();
         if n < 2 {
-            return Ok(SimDuration::ZERO);
+            return Ok(bytes.into_iter().map(|_| SimDuration::ZERO).collect());
         }
-        let mut total = SimDuration::ZERO;
-        let mut pairs = 0u32;
-        for from in 0..n {
-            for to in 0..n {
-                if from != to {
-                    total += self.transfer_time(bytes, DeviceId(from), DeviceId(to))?;
-                    pairs += 1;
+        let terms = self.interconnect.pair_terms(n);
+        let pairs = (n * (n - 1)) as f64;
+        bytes
+            .into_iter()
+            .map(|b| {
+                let mut total = SimDuration::ZERO;
+                for from in 0..n {
+                    for to in (0..n).filter(|&to| to != from) {
+                        total += terms.transfer_time(b, DeviceId(from), DeviceId(to))?;
+                    }
                 }
-            }
-        }
-        Ok(total / f64::from(pairs))
+                Ok(total / pairs)
+            })
+            .collect()
     }
 }
 
@@ -366,6 +382,72 @@ mod tests {
         single.add_device(DeviceBuilder::new("c", DeviceKind::Cpu).build().unwrap());
         let single = single.build().unwrap();
         assert_eq!(single.mean_transfer_time(1e9).unwrap(), SimDuration::ZERO);
+    }
+
+    /// The mean as a loop of per-pair `transfer_time` calls.
+    fn reference_mean_transfer_time(
+        p: &Platform,
+        bytes: f64,
+    ) -> Result<SimDuration, PlatformError> {
+        let n = p.num_devices();
+        if n < 2 {
+            return Ok(SimDuration::ZERO);
+        }
+        let mut total = SimDuration::ZERO;
+        let mut pairs = 0u32;
+        for from in 0..n {
+            for to in (0..n).filter(|&to| to != from) {
+                total += p.transfer_time(bytes, DeviceId(from), DeviceId(to))?;
+                pairs += 1;
+            }
+        }
+        Ok(total / f64::from(pairs))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// Batched mean transfer times are bit-equal to per-payload calls
+        /// and to per-pair `transfer_time` sums, on every preset.
+        #[test]
+        fn batched_mean_transfer_times_are_bit_equal_to_per_call(
+            exponents in proptest::prop::collection::vec(0.0f64..11.0, 0..24),
+            nodes in 1usize..9,
+        ) {
+            let payloads: Vec<f64> = exponents.iter().map(|e| 10f64.powf(*e) - 1.0).collect();
+            let mut platforms = crate::presets::all();
+            platforms.extend([crate::presets::cluster(nodes), two_device()]);
+            for p in &platforms {
+                let batched = p.mean_transfer_times(payloads.iter().copied()).unwrap();
+                proptest::prop_assert_eq!(batched.len(), payloads.len());
+                for (&bytes, got) in payloads.iter().zip(&batched) {
+                    let per_call = p.mean_transfer_time(bytes).unwrap();
+                    let reference = reference_mean_transfer_time(p, bytes).unwrap();
+                    proptest::prop_assert_eq!(got.as_secs().to_bits(), per_call.as_secs().to_bits());
+                    proptest::prop_assert_eq!(got.as_secs().to_bits(), reference.as_secs().to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_mean_transfer_times_fail_like_per_call() {
+        // Device 2 can send to 0, but nothing routes 0 -> 2 or 1 -> 2.
+        let mut b = PlatformBuilder::new("broken");
+        for name in ["a", "b", "c"] {
+            b.add_device(DeviceBuilder::new(name, DeviceKind::Cpu).build().unwrap());
+        }
+        let mut ic = crate::interconnect::InterconnectBuilder::new();
+        let l = ic.add_link(crate::Link::new("l", 8.0, SimDuration::from_secs(1e-6)).unwrap());
+        ic.route_symmetric(DeviceId(0), DeviceId(1), vec![l]);
+        ic.route(DeviceId(2), DeviceId(0), vec![l]);
+        b.interconnect(ic.build());
+        let broken = b.build().unwrap();
+        let want = reference_mean_transfer_time(&broken, 1e6).unwrap_err();
+        assert_eq!(want, PlatformError::NoRoute { from: 0, to: 2 });
+        assert_eq!(broken.mean_transfer_time(1e6).unwrap_err(), want);
+        assert_eq!(broken.mean_transfer_times([1e6, 0.0]).unwrap_err(), want);
+        assert_eq!(broken.mean_transfer_times([]).unwrap(), Vec::new());
     }
 
     #[test]

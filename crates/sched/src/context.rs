@@ -1,7 +1,7 @@
 //! Shared machinery for list schedulers: cost tables, earliest-start /
 //! earliest-finish computation, and incremental placement.
 
-use helios_platform::{DeviceId, Platform};
+use helios_platform::{DeviceId, PairTerms, Platform};
 use helios_sim::{SimDuration, SimTime};
 use helios_workflow::{TaskId, Workflow};
 
@@ -38,31 +38,14 @@ pub struct SchedContext<'a> {
     platform: &'a Platform,
     /// `exec[task][device]` nominal execution times.
     exec: Vec<Vec<SimDuration>>,
-    /// `pair_cost[from][to]` memoized interconnect terms, so the hot
-    /// EST/EFT loops never re-walk routes or links.
-    pair_cost: Vec<Vec<PairCost>>,
+    /// Per-device-pair transfer terms, so the hot EST/EFT loops never
+    /// re-walk routes or links.
+    pair_terms: PairTerms,
     /// `feasible_map[task][device]` placement feasibility, precomputed.
     feasible_map: Vec<Vec<bool>>,
     timelines: Vec<DeviceTimeline>,
     placements: Vec<Option<Placement>>,
     insertion: bool,
-}
-
-/// Memoized transfer terms for one device pair.
-///
-/// `Link` stores the route's summed latency and the bandwidth
-/// denominator `min_bw * 1e9` exactly as `Interconnect::transfer_time`
-/// computes them, so `latency + bytes / denom` reproduces the uncached
-/// result bit for bit.
-#[derive(Debug, Clone)]
-enum PairCost {
-    /// Empty route (same device): transfers are free at any size.
-    Free,
-    /// Routed pair: `latency + from_secs(bytes / denom)`.
-    Link { latency: SimDuration, denom: f64 },
-    /// No route or broken link; the platform call is replayed on demand
-    /// so the caller sees the identical error.
-    Unroutable,
 }
 
 impl<'a> SchedContext<'a> {
@@ -85,46 +68,6 @@ impl<'a> SchedContext<'a> {
             }
             exec.push(row);
         }
-        let n = platform.num_devices();
-        let ic = platform.interconnect();
-        let mut pair_cost = Vec::with_capacity(n);
-        for from in 0..n {
-            let mut row = Vec::with_capacity(n);
-            for to in 0..n {
-                row.push(match ic.route(DeviceId(from), DeviceId(to)) {
-                    Err(_) => PairCost::Unroutable,
-                    Ok(route) if route.is_empty() => PairCost::Free,
-                    Ok(route) => {
-                        // Same accumulation order as `transfer_time`, so
-                        // the memoized terms are bitwise identical.
-                        let mut latency = SimDuration::ZERO;
-                        let mut min_bw = f64::INFINITY;
-                        let mut broken = false;
-                        for id in route {
-                            match ic.link(id) {
-                                Ok(link) => {
-                                    latency += link.latency();
-                                    min_bw = min_bw.min(link.bandwidth_gbs());
-                                }
-                                Err(_) => {
-                                    broken = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if broken {
-                            PairCost::Unroutable
-                        } else {
-                            PairCost::Link {
-                                latency,
-                                denom: min_bw * 1e9,
-                            }
-                        }
-                    }
-                });
-            }
-            pair_cost.push(row);
-        }
         let feasible_map = wf
             .tasks()
             .iter()
@@ -140,7 +83,7 @@ impl<'a> SchedContext<'a> {
             wf,
             platform,
             exec,
-            pair_cost,
+            pair_terms: platform.interconnect().pair_terms(platform.num_devices()),
             feasible_map,
             timelines: vec![DeviceTimeline::new(); platform.num_devices()],
             placements: vec![None; wf.num_tasks()],
@@ -148,22 +91,12 @@ impl<'a> SchedContext<'a> {
         })
     }
 
-    /// Transfer time between committed devices through the memoized
-    /// per-pair terms; falls back to the platform call (reproducing its
-    /// exact error) for unroutable pairs.
-    fn pair_transfer(
-        &self,
-        bytes: f64,
-        from: DeviceId,
-        to: DeviceId,
-    ) -> Result<SimDuration, SchedError> {
-        match &self.pair_cost[from.0][to.0] {
-            PairCost::Free => Ok(SimDuration::ZERO),
-            PairCost::Link { latency, denom } => {
-                Ok(*latency + SimDuration::from_secs(bytes / denom))
-            }
-            PairCost::Unroutable => Ok(self.platform.transfer_time(bytes, from, to)?),
-        }
+    /// Clears every placement and reservation, keeping the precomputed
+    /// tables: the context is then as fresh as a newly built one, so a
+    /// caller decoding many candidate schedules builds it once.
+    pub(crate) fn reset(&mut self) {
+        self.timelines.iter_mut().for_each(DeviceTimeline::clear);
+        self.placements.fill(None);
     }
 
     /// The workflow being scheduled.
@@ -228,14 +161,16 @@ impl<'a> SchedContext<'a> {
             let pred = self.placements[edge.src.0]
                 .as_ref()
                 .ok_or(SchedError::Unscheduled(edge.src))?;
-            let transfer = self.pair_transfer(edge.bytes, pred.device, device)?;
+            let transfer = self
+                .pair_terms
+                .transfer_time(edge.bytes, pred.device, device)?;
             ready = ready.max(pred.finish + transfer);
         }
         Ok(ready)
     }
 
     /// Reference implementation of [`SchedContext::data_ready`] that
-    /// bypasses the memoized pair costs and queries the platform model
+    /// bypasses the pair-term table and queries the platform model
     /// directly. Exists so tests can assert the cache is bit-identical;
     /// not for production use.
     ///
@@ -305,7 +240,7 @@ impl<'a> SchedContext<'a> {
             let dev = DeviceId(d);
             let mut ready = SimTime::ZERO;
             for &(pred_finish, pred_dev, bytes) in &preds {
-                let transfer = self.pair_transfer(bytes, pred_dev, dev)?;
+                let transfer = self.pair_terms.transfer_time(bytes, pred_dev, dev)?;
                 ready = ready.max(pred_finish + transfer);
             }
             let exec = self.exec[task.0][d];
@@ -450,6 +385,36 @@ mod tests {
         assert!(ctx
             .place(TaskId(0), d, f, f + SimDuration::from_secs(1.0))
             .is_err());
+    }
+
+    #[test]
+    fn reset_context_decodes_like_a_fresh_one() {
+        use helios_workflow::generators::montage;
+        let wf = montage(40, 3).unwrap();
+        let p = presets::cluster(2);
+        let greedy = |ctx: &mut SchedContext<'_>| {
+            for &t in wf.topo_order() {
+                let (d, s, f) = ctx.best_eft(t).unwrap();
+                ctx.place(t, d, s, f).unwrap();
+            }
+        };
+        let mut fresh = SchedContext::new(&wf, &p, true).unwrap();
+        greedy(&mut fresh);
+        let expected = fresh.into_schedule().unwrap();
+
+        let mut reused = SchedContext::new(&wf, &p, true).unwrap();
+        // Dirty it with a different placement order first.
+        for &t in wf.topo_order() {
+            let d = reused.feasible_devices(t).last().unwrap();
+            let (s, f) = reused.eft(t, d).unwrap();
+            reused.place(t, d, s, f).unwrap();
+        }
+        assert!(reused.is_complete());
+        reused.reset();
+        assert!(!reused.is_complete());
+        assert!(reused.placement(wf.topo_order()[0]).is_none());
+        greedy(&mut reused);
+        assert_eq!(reused.into_schedule().unwrap(), expected);
     }
 
     #[test]

@@ -72,6 +72,11 @@ impl DeviceTimeline {
         candidate
     }
 
+    /// Drops every reservation.
+    pub(crate) fn clear(&mut self) {
+        self.busy.clear();
+    }
+
     /// Reserves `[start, finish)`.
     ///
     /// # Panics

@@ -73,10 +73,11 @@ pub fn mean_exec_times(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, P
 ///
 /// Propagates platform routing errors.
 pub fn mean_comm_times(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, PlatformError> {
-    wf.edges()
-        .iter()
-        .map(|e| Ok(platform.mean_transfer_time(e.bytes)?.as_secs()))
-        .collect()
+    Ok(platform
+        .mean_transfer_times(wf.edges().iter().map(|e| e.bytes))?
+        .into_iter()
+        .map(|t| t.as_secs())
+        .collect())
 }
 
 /// HEFT *upward rank* (bottom level) of every task: mean execution time
@@ -89,6 +90,15 @@ pub fn mean_comm_times(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, P
 /// infinite — rank-based schedulers order tasks with `total_cmp`, where
 /// a single NaN would silently scramble priorities instead of failing.
 pub fn bottom_levels(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, PlatformError> {
+    Ok(bottom_levels_and_comm(wf, platform)?.0)
+}
+
+/// [`bottom_levels`] together with the [`mean_comm_times`] it was built
+/// from, for callers that need both.
+fn bottom_levels_and_comm(
+    wf: &Workflow,
+    platform: &Platform,
+) -> Result<(Vec<f64>, Vec<f64>), PlatformError> {
     let exec = mean_exec_times(wf, platform)?;
     let comm = mean_comm_times(wf, platform)?;
     let mut rank = vec![0.0f64; wf.num_tasks()];
@@ -107,7 +117,7 @@ pub fn bottom_levels(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, Pla
             });
         }
     }
-    Ok(rank)
+    Ok((rank, comm))
 }
 
 /// *Downward rank* (top level) of every task: the longest mean-cost path
@@ -142,8 +152,7 @@ pub fn critical_path(
     wf: &Workflow,
     platform: &Platform,
 ) -> Result<(Vec<TaskId>, f64), PlatformError> {
-    let ranks = bottom_levels(wf, platform)?;
-    let comm = mean_comm_times(wf, platform)?;
+    let (ranks, comm) = bottom_levels_and_comm(wf, platform)?;
     let start = wf
         .entry_tasks()
         .into_iter()
