@@ -86,18 +86,20 @@ fi
 echo "paper-grid report matches the pinned digest"
 
 echo "==> kill-and-resume smoke (resilient spec)"
-# A sweep of the resilient spec is killed after one cell (test hook,
-# nonzero exit expected), resumed against the partial report, and must
-# come out byte-identical to an uninterrupted run. The same spec is also
-# swept as a 2-shard partition to pin byte-identity under resilience.
+# A store sweep of the resilient spec is cut after one cell (test hook,
+# nonzero exit expected), resumed from the store, and its --out view
+# must come out byte-identical to an uninterrupted run. The same spec is
+# also swept as a 2-shard partition to pin byte-identity under
+# resilience.
 rspec=examples/specs/resilient_smoke.json
 "$helios" campaign run --spec "$rspec" --out "$sweep_tmp/rfull.json" > /dev/null
 if HELIOS_SWEEP_ABORT_AFTER=1 "$helios" campaign run --spec "$rspec" \
-    --out "$sweep_tmp/rresume.json" > /dev/null 2>&1; then
+    --store "$sweep_tmp/rresume.store" > /dev/null 2>&1; then
     echo "aborted sweep unexpectedly exited zero" >&2
     exit 1
 fi
-"$helios" campaign run --spec "$rspec" --out "$sweep_tmp/rresume.json" > /dev/null
+"$helios" campaign run --spec "$rspec" --store "$sweep_tmp/rresume.store" \
+    --out "$sweep_tmp/rresume.json" > /dev/null
 cmp "$sweep_tmp/rfull.json" "$sweep_tmp/rresume.json"
 "$helios" campaign run --spec "$rspec" --shard 1/2 --out "$sweep_tmp/r1.json" > /dev/null
 "$helios" campaign run --spec "$rspec" --shard 2/2 --out "$sweep_tmp/r2.json" > /dev/null
@@ -106,67 +108,78 @@ cmp "$sweep_tmp/rfull.json" "$sweep_tmp/rresume.json"
 cmp "$sweep_tmp/rfull.json" "$sweep_tmp/rmerged.json"
 echo "kill-and-resume and 2-shard merge are byte-identical under resilience"
 
-echo "==> kill -9 chaos loop (write-ahead journal survives hard kills)"
-# The release binary sweeps a 6000-cell resilient spec through the
-# fsync'd cell journal while being kill -9'd at randomized delays: at
-# least 5 hard kills land wherever they land — between records or
-# mid-record. `campaign recover` then salvages the journal (truncating
-# any torn tail) and a final run completes it; the compiled view must be
-# byte-identical to a run that was never interrupted. HELIOS_POISON_LIMIT
-# is raised so a cell the random kills keep hitting is retried rather
-# than quarantined (quarantine changes the bytes by design).
+# chaos_loop FLAG: sweeps a 6000-cell resilient spec into a cell store
+# with the given commit flag (--journal: per-cell commit; --store:
+# 256-row group commit) while kill -9'ing the release binary at
+# randomized delays: at least 5 hard kills land wherever they land —
+# between records or mid-record. `campaign recover` then salvages the
+# store (truncating any torn tail) and a final run completes it; the
+# compiled view must be byte-identical to a run that was never
+# interrupted. HELIOS_POISON_LIMIT is raised so a cell the random kills
+# keep hitting under --journal is retried rather than quarantined
+# (quarantine changes the bytes by design).
 cspec="$sweep_tmp/chaos_spec.json"
 sed 's/"count": 3/"count": 3000/' "$rspec" > "$cspec"
 "$helios" campaign run --spec "$cspec" --out "$sweep_tmp/chaos_ref.json" > /dev/null
-kills=0
-tries=0
-while [ "$kills" -lt 5 ]; do
-    tries=$((tries + 1))
-    if [ "$tries" -gt 60 ]; then
-        echo "chaos loop could not land 5 kills in $tries tries" >&2
-        exit 1
-    fi
+chaos_loop() {
+    chaos_store="$sweep_tmp/chaos$1.store"
+    kills=0
+    tries=0
+    while [ "$kills" -lt 5 ]; do
+        tries=$((tries + 1))
+        if [ "$tries" -gt 60 ]; then
+            echo "chaos loop ($1) could not land 5 kills in $tries tries" >&2
+            exit 1
+        fi
+        HELIOS_POISON_LIMIT=100 "$helios" campaign run --spec "$cspec" \
+            "$1" "$chaos_store" --out "$sweep_tmp/chaos.json" \
+            > /dev/null 2>&1 &
+        chaos_pid=$!
+        # POSIX sh has no $RANDOM: draw two bytes from /dev/urandom for
+        # a randomized 20-490 ms kill delay.
+        delay=$(od -An -N2 -tu2 /dev/urandom | tr -d ' ')
+        sleep "$(printf '0.%03d' $((delay % 470 + 20)))"
+        kill -9 "$chaos_pid" 2> /dev/null || true
+        if wait "$chaos_pid" 2> /dev/null; then
+            # The sweep finished before the kill landed: the store is
+            # complete, so restart the chaos from an empty one.
+            rm -f "$chaos_store" "$sweep_tmp/chaos.json"
+        else
+            kills=$((kills + 1))
+        fi
+    done
+    "$helios" campaign recover "$chaos_store" > /dev/null
     HELIOS_POISON_LIMIT=100 "$helios" campaign run --spec "$cspec" \
-        --journal "$sweep_tmp/chaos.journal" --out "$sweep_tmp/chaos.json" \
-        > /dev/null 2>&1 &
-    chaos_pid=$!
-    # POSIX sh has no $RANDOM: draw two bytes from /dev/urandom for a
-    # randomized 20-490 ms kill delay.
-    delay=$(od -An -N2 -tu2 /dev/urandom | tr -d ' ')
-    sleep "$(printf '0.%03d' $((delay % 470 + 20)))"
-    kill -9 "$chaos_pid" 2> /dev/null || true
-    if wait "$chaos_pid" 2> /dev/null; then
-        # The sweep finished before the kill landed: the journal is
-        # complete, so restart the chaos from an empty one.
-        rm -f "$sweep_tmp/chaos.journal" "$sweep_tmp/chaos.json"
-    else
-        kills=$((kills + 1))
-    fi
-done
-"$helios" campaign recover "$sweep_tmp/chaos.journal" > /dev/null
-HELIOS_POISON_LIMIT=100 "$helios" campaign run --spec "$cspec" \
-    --journal "$sweep_tmp/chaos.journal" --out "$sweep_tmp/chaos.json" > /dev/null
-cmp "$sweep_tmp/chaos_ref.json" "$sweep_tmp/chaos.json"
-echo "journal survived $kills hard kills ($tries runs) byte-identically"
+        "$1" "$chaos_store" --out "$sweep_tmp/chaos.json" > /dev/null
+    cmp "$sweep_tmp/chaos_ref.json" "$sweep_tmp/chaos.json"
+    echo "chaos loop ($1): survived $kills hard kills ($tries runs) byte-identically"
+}
+
+echo "==> kill -9 chaos loop, per-cell commit (--journal)"
+chaos_loop --journal
+
+echo "==> kill -9 chaos loop, group commit (--store)"
+chaos_loop --store
 
 echo "==> torn-write smoke (mid-record kill is salvaged, not hand-repaired)"
 # The torn-write hook persists half of one record's bytes and dies —
 # the exact shape a kill mid-`write(2)` leaves behind. Recovery must
 # truncate the torn tail, report it, and resume byte-identically.
 if HELIOS_JOURNAL_TORN_WRITE=3 "$helios" campaign run --spec "$rspec" \
-    --journal "$sweep_tmp/torn.journal" > /dev/null 2>&1; then
+    --journal "$sweep_tmp/torn.store" > /dev/null 2>&1; then
     echo "torn-write injection unexpectedly exited zero" >&2
     exit 1
 fi
-"$helios" campaign recover "$sweep_tmp/torn.journal" | grep -q "torn byte(s)"
+"$helios" campaign recover "$sweep_tmp/torn.store" | grep -q "torn byte(s)"
 "$helios" campaign run --spec "$rspec" \
-    --journal "$sweep_tmp/torn.journal" --out "$sweep_tmp/torn.json" > /dev/null
+    --journal "$sweep_tmp/torn.store" --out "$sweep_tmp/torn.json" > /dev/null
 cmp "$sweep_tmp/rfull.json" "$sweep_tmp/torn.json"
-# Journals are also merge inputs in their own right.
-"$helios" campaign merge --in "$sweep_tmp/torn.journal" \
+# The store is a merge input in its own right; its attempt records never
+# surface as rows.
+"$helios" campaign merge --in "$sweep_tmp/torn.store" \
     --out "$sweep_tmp/torn_merged.json" > /dev/null
 cmp "$sweep_tmp/rfull.json" "$sweep_tmp/torn_merged.json"
-echo "torn journal salvaged and merged byte-identically"
+echo "torn store salvaged and merged byte-identically"
 
 echo "==> partition smoke (correlated rack outage + interconnect faults)"
 # The full three-class fault stack through the release binary: a rack

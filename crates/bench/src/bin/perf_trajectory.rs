@@ -8,9 +8,10 @@
 //!   `SweepDriver`. This is the end-to-end number: generation,
 //!   planning and the exec-core step loop together.
 //! * `paper_grid_journal_cells_per_sec` — the same grid driven through
-//!   the write-ahead cell journal (`SweepDriver::run_journal`), so the
-//!   durability tax — two fsync'd appends per cell — is a pinned number
-//!   next to the journal-free baseline instead of folklore.
+//!   the cell store with per-cell commit (`SweepDriver::run_store`,
+//!   `Commit::PerCell`, what `--journal` runs), so the durability tax —
+//!   two fsync'd appends per cell — is a pinned number next to the
+//!   store-free baseline instead of folklore.
 //! * `merge_rows_per_sec` — shard-merge throughput over the columnar
 //!   cell store: a 100k-row synthetic sweep split into 4 shard
 //!   segments, read back and recombined by `merge_shards`. The JSON
@@ -96,12 +97,12 @@ fn bench_paper_grid(smoke: bool) -> Result<SeriesOut, Box<dyn std::error::Error>
     })
 }
 
-/// Cells/sec for the same grid slice through the write-ahead journal:
-/// identical execution plus two fsync'd record appends per cell. The
-/// gap between this and `paper_grid_cells_per_sec` is the durability
-/// overhead.
+/// Cells/sec for the same grid slice through the cell store with
+/// per-cell commit: identical execution plus two fsync'd record appends
+/// per cell (an attempt record and a one-row group). The gap between
+/// this and `paper_grid_cells_per_sec` is the durability overhead.
 fn bench_paper_grid_journal(smoke: bool) -> Result<SeriesOut, Box<dyn std::error::Error>> {
-    use helios_core::JournalOptions;
+    use helios_core::{Commit, StoreOptions};
 
     let spec_path = spec_path("examples/specs/paper_grid.json");
     let spec = CampaignSpec::from_json(&std::fs::read_to_string(&spec_path)?)?;
@@ -110,16 +111,18 @@ fn bench_paper_grid_journal(smoke: bool) -> Result<SeriesOut, Box<dyn std::error
     } else {
         ShardSpec::full()
     };
-    let journal_path = std::env::temp_dir().join(format!(
-        "helios-bench-journal-{}.journal",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&journal_path);
+    let store_path =
+        std::env::temp_dir().join(format!("helios-bench-journal-{}.store", std::process::id()));
+    let _ = std::fs::remove_file(&store_path);
     let driver = SweepDriver::new(1);
+    let opts = StoreOptions {
+        commit: Commit::PerCell,
+        ..StoreOptions::default()
+    };
     let start = Instant::now();
-    let run = driver.run_journal(&spec, shard, &journal_path, &JournalOptions::default())?;
+    let run = driver.run_store(&spec, shard, &store_path, &opts)?;
     let wall = start.elapsed().as_secs_f64();
-    let _ = std::fs::remove_file(&journal_path);
+    let _ = std::fs::remove_file(&store_path);
     let cells = run.report.cells.len() as f64;
     Ok(SeriesOut {
         name: "paper_grid_journal_cells_per_sec",

@@ -221,25 +221,24 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// Four forms:
 ///
 /// * `campaign run --spec FILE [--shard K/N] [--jobs N] [--out FILE]
-///   [--journal FILE | --store FILE]` — expand a declarative sweep spec
+///   [--store FILE | --journal FILE]` — expand a declarative sweep spec
 ///   and run it (or one shard of it). Without `--shard` the merged
 ///   sweep report is produced directly; with `--shard`, a shard report
-///   for later `merge`. With `--journal`, every cell is appended to a
-///   fsync'd write-ahead journal first and `--out` becomes an optional
-///   view compiled from it; `kill -9` at any byte loses at most the
-///   torn tail record. With `--store`, cells are appended to the
-///   columnar cell store instead (the `helios query` substrate) with
-///   the same durability and resume semantics.
+///   for later `merge`. `--store` and `--journal` both append every
+///   cell to a columnar cell store (the `helios query` substrate) that
+///   a re-run with the same flag resumes; they differ only in commit
+///   mode. `--store` flushes 256-row groups; `--journal` writes an
+///   fsync'd attempt record before each cell and commits each cell on
+///   its own, so `kill -9` loses at most the cells in flight. `--out`
+///   is always a JSON view, rewritten from scratch.
 /// * `campaign merge --in FILE [--in FILE …] [--out FILE]` — recombine
-///   shard reports, cell journals and/or columnar stores
-///   (overlap/gap/spec-mismatch checked) into the aggregate sweep
-///   report, byte-identical to an unsharded run. Input kinds are
-///   detected by magic bytes and may be mixed freely in one
-///   invocation.
-/// * `campaign recover FILE [--out FILE]` — salvage a torn journal or
-///   columnar store (truncate to the longest valid record prefix) or a
-///   torn JSON shard report (cut back to the longest valid cell
-///   prefix), and say how to resume.
+///   JSON shard reports and/or cell stores (overlap/gap/spec-mismatch
+///   checked) into the aggregate sweep report, byte-identical to an
+///   unsharded run. Input kinds are detected by magic bytes and may be
+///   mixed freely in one invocation.
+/// * `campaign recover FILE [--out FILE]` — salvage a torn cell store
+///   (truncate to the longest valid record prefix), list cells with
+///   attempts but no row, and say how to resume.
 /// * legacy member form: repeated `--member path[:arrival[:priority]]`
 ///   runs one ensemble campaign over `--seeds N` replicate seeds.
 pub fn campaign(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -253,30 +252,21 @@ pub fn campaign(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `helios campaign run` — run a sweep spec, whole or one shard.
 ///
-/// When `--out FILE` already exists and holds a (partial) shard report
-/// of the *same* spec, the run resumes: cells present in the file are
-/// skipped and the merged result is byte-identical to an uninterrupted
-/// run. A file from a different spec or shard geometry is refused.
+/// With `--store FILE` or `--journal FILE` the cells go to a durable
+/// cell store: an existing store of the same spec and shard is salvaged
+/// (torn tail truncated) and resumed, so the result is byte-identical
+/// to an uninterrupted run; a store of a different spec or geometry is
+/// refused. SIGINT/SIGTERM drain the run to a resumable cut (exit 3).
 ///
-/// With `--journal FILE` the run is crash-consistent instead: cells are
-/// appended to a fsync'd write-ahead journal as they finish, resume
-/// salvages the longest valid prefix of an interrupted journal (torn
-/// tail truncated), and `--out` is only a view compiled from it.
-///
-/// With `--store FILE` the durable artifact is the columnar cell store
-/// (`helios query`'s native format) instead of a journal, with the same
-/// salvage-and-resume semantics.
-///
-/// Environment hooks (crash injection for the CI chaos smoke):
-/// `HELIOS_SWEEP_ABORT_AFTER=N` stops after executing `N` cells;
-/// `HELIOS_JOURNAL_CRASH_CELL=I` errors right after journaling the
-/// attempt on global cell `I`; `HELIOS_JOURNAL_TORN_WRITE=N` tears the
-/// Nth journal append halfway; `HELIOS_POISON_LIMIT=N` overrides the
-/// attempts-without-completion quarantine threshold.
+/// Environment hooks (crash injection for CI and tests), honoured only
+/// with a store: `HELIOS_SWEEP_ABORT_AFTER=N` stops after executing `N`
+/// cells; `HELIOS_JOURNAL_CRASH_CELL=I` errors just before executing
+/// global cell `I` (after its attempt record under `--journal`);
+/// `HELIOS_JOURNAL_TORN_WRITE=N` tears the Nth record append halfway;
+/// `HELIOS_POISON_LIMIT=N` overrides the attempts-without-row
+/// quarantine threshold.
 fn campaign_run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    use helios_core::{
-        merge_shards, CampaignSpec, ShardReport, ShardSpec, SweepDriver, SweepReport,
-    };
+    use helios_core::{merge_shards, CampaignSpec, Commit, ShardSpec, StoreOptions, SweepDriver};
 
     let args = Args::parse(
         argv,
@@ -291,123 +281,110 @@ fn campaign_run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let jobs = args.parse_or("jobs", 1usize)?;
     let driver = SweepDriver::new(jobs);
 
-    let abort_after: Option<usize> = env_hook("HELIOS_SWEEP_ABORT_AFTER")?;
-
     let shard = match args.get("shard") {
         Some(s) => Some(ShardSpec::parse(s).map_err(|e| CliError::Usage(e.to_string()))?),
         None => None,
     };
-    let out_path = args.get("out");
-    if args.get("journal").is_some() && args.get("store").is_some() {
-        return Err(CliError::Usage(
-            "--journal and --store are both durable result paths; pick one".into(),
-        ));
-    }
-    if let Some(journal_path) = args.get("journal") {
-        return campaign_run_journal(
-            &driver,
-            &spec,
-            shard,
-            journal_path,
-            out_path,
-            abort_after,
-            out,
-        );
-    }
-    if let Some(store_path) = args.get("store") {
-        return campaign_run_store(
-            &driver,
-            &spec,
-            shard,
-            store_path,
-            out_path,
-            abort_after,
-            out,
-        );
-    }
-    if (shard.is_some() || abort_after.is_some()) && out_path.is_none() {
-        return Err(CliError::Usage(
-            "--shard (and HELIOS_SWEEP_ABORT_AFTER) produce a partial result; \
-             --out FILE is required (or use --journal FILE)"
-                .into(),
-        ));
-    }
     let effective = shard.unwrap_or_else(ShardSpec::full);
-
-    // Resume: an existing --out file holding a shard report of the same
-    // spec means "skip what is already done".
-    let prior: Option<ShardReport> = match out_path {
-        Some(path) if std::path::Path::new(path).exists() => {
-            // Lossy so a binary cell journal handed to --out still gets
-            // classified (its magic is ASCII) instead of a UTF-8 error.
-            let raw = std::fs::read(path)
-                .map_err(|e| CliError::Helios(format!("cannot read existing {path:?}: {e}")))?;
-            let prior_json = String::from_utf8_lossy(&raw).into_owned();
-            match serde_json::from_str::<ShardReport>(&prior_json) {
-                Ok(report) => Some(report),
-                // A complete sweep report of the same spec: nothing to do.
-                Err(_) => match serde_json::from_str::<SweepReport>(&prior_json) {
-                    Ok(done) if done.spec_digest == spec.digest() => {
-                        writeln!(
-                            out,
-                            "sweep {:?} is already complete in {path} ({} cells); \
-                             delete the file to re-run",
-                            done.spec_name, done.total_cells
-                        )?;
-                        return Ok(());
-                    }
-                    _ => return Err(classify_bad_resume_file(path, &prior_json, &spec)),
-                },
-            }
+    let out_path = args.get("out");
+    let durable = match (args.get("store"), args.get("journal")) {
+        (Some(_), Some(_)) => {
+            return Err(CliError::Usage(
+                "--journal and --store are both durable result paths; pick one".into(),
+            ))
         }
-        _ => None,
+        (Some(path), None) => Some((path, Commit::Group, "--store")),
+        (None, Some(path)) => Some((path, Commit::PerCell, "--journal")),
+        (None, None) => None,
     };
-    if let Some(p) = &prior {
-        let owned = (0..p.total_cells)
-            .filter(|i| i % p.shard_count == p.shard_index - 1)
-            .count();
-        writeln!(
-            out,
-            "resuming from {}: {} of {owned} owned cells already done",
-            out_path.expect("prior implies --out"),
-            p.cells.len(),
-        )?;
+    let abort_after: Option<usize> = env_hook("HELIOS_SWEEP_ABORT_AFTER")?;
+    // Refuse a clobber before spending the sweep, not after.
+    if let Some(path) = out_path {
+        refuse_durable_target(path)?;
     }
 
-    let outcome = driver.resume_shard(&spec, effective, prior.as_ref(), abort_after)?;
-    let report = outcome.report;
-
-    if outcome.remaining > 0 {
-        let path = out_path.expect("checked above");
-        std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
-        return Err(CliError::Helios(format!(
-            "aborted by HELIOS_SWEEP_ABORT_AFTER after {} cells: {} of {} owned cells \
-             in {path}, {} remaining; re-run with the same --out to resume",
-            abort_after.unwrap_or(0),
-            report.cells.len(),
-            report.cells.len() + outcome.remaining,
-            outcome.remaining
-        )));
-    }
+    let report = match durable {
+        None => {
+            if abort_after.is_some() {
+                return Err(CliError::Usage(
+                    "HELIOS_SWEEP_ABORT_AFTER cuts a durable run; pass --store FILE or \
+                     --journal FILE to have something to resume"
+                        .into(),
+                ));
+            }
+            if shard.is_some() && out_path.is_none() {
+                return Err(CliError::Usage(
+                    "--shard produces a partial result; --out FILE is required (or use \
+                     --store FILE)"
+                        .into(),
+                ));
+            }
+            driver.run_shard(&spec, effective)?
+        }
+        Some((path, commit, flag)) => {
+            let opts = StoreOptions {
+                limit: abort_after,
+                cancel: Some(crate::drain::install()),
+                commit,
+                crash_cell: env_hook("HELIOS_JOURNAL_CRASH_CELL")?,
+                tear_after: env_hook("HELIOS_JOURNAL_TORN_WRITE")?,
+                poison_limit: env_hook("HELIOS_POISON_LIMIT")?,
+            };
+            let run = driver.run_store(&spec, effective, std::path::Path::new(path), &opts)?;
+            if run.salvaged_rows > 0 || run.dropped_bytes > 0 {
+                writeln!(
+                    out,
+                    "resumed {path}: {} completed row(s) salvaged, {} torn byte(s) dropped",
+                    run.salvaged_rows, run.dropped_bytes
+                )?;
+            }
+            for cell in &run.poisoned {
+                writeln!(
+                    out,
+                    "cell {cell} quarantined as poisoned: it crashed the process repeatedly \
+                     and is reported with completed=false"
+                )?;
+            }
+            let done = run.report.cells.len();
+            let owned = done + run.remaining;
+            if run.drained {
+                return Err(CliError::Interrupted(format!(
+                    "drained on signal: {done} of {owned} owned cells durable in {path}; \
+                     re-run with the same {flag} to resume"
+                )));
+            }
+            if run.remaining > 0 {
+                return Err(CliError::Helios(format!(
+                    "aborted by HELIOS_SWEEP_ABORT_AFTER after {} cells: {done} of {owned} \
+                     owned cells durable in {path}, {} remaining; re-run with the same \
+                     {flag} to resume",
+                    abort_after.unwrap_or(0),
+                    run.remaining
+                )));
+            }
+            run.report
+        }
+    };
 
     match shard {
         Some(shard) => {
-            let path = out_path.expect("checked above");
-            std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
+            let stored = durable.map_or(String::new(), |(path, ..)| format!(" stored in {path}"));
             writeln!(
                 out,
-                "shard {shard} of {:?}: {} of {} cells -> {path}",
+                "shard {shard} of {:?}: {} of {} cells{stored}",
                 report.spec_name,
                 report.cells.len(),
                 report.total_cells
             )?;
+            if let Some(path) = out_path {
+                write_view(path, &serde_json::to_string_pretty(&report)?, out)?;
+            }
         }
         None => {
             let merged = merge_shards(&[report])?;
             write_sweep_summary(&merged, out)?;
             if let Some(path) = out_path {
-                std::fs::write(path, serde_json::to_string_pretty(&merged)?)?;
-                writeln!(out, "wrote {path}")?;
+                write_view(path, &serde_json::to_string_pretty(&merged)?, out)?;
             }
         }
     }
@@ -425,245 +402,79 @@ fn env_hook<T: std::str::FromStr>(name: &str) -> Result<Option<T>, CliError> {
     }
 }
 
-/// Classifies an existing `--out` file that failed to parse as a resume
-/// artifact: a cell journal handed to the wrong flag, a torn JSON
-/// report (typed [`CorruptResume`](helios_core::CampaignError) naming
-/// the byte offset and the `recover` remedy), or an intact-but-foreign
-/// file that is simply refused.
-fn classify_bad_resume_file(
-    path: &str,
-    contents: &str,
-    spec: &helios_core::CampaignSpec,
-) -> CliError {
-    use helios_core::campaign::journal;
-    use helios_core::{CampaignError, EngineError};
+/// Whether `bytes` begin with the magic of a cell store or of the
+/// retired cell journal.
+fn is_durable_bytes(bytes: &[u8]) -> bool {
+    helios_core::store::is_store_bytes(bytes)
+        || bytes.starts_with(&helios_core::store::RETIRED_JOURNAL_MAGIC)
+}
 
-    if journal::is_journal_bytes(contents.as_bytes()) {
-        return CliError::Usage(format!(
-            "{path:?} is a cell journal, not a JSON report; resume it with \
-             --journal {path} (and drop --out, or point --out elsewhere for the view)"
-        ));
+/// Refuses to let a JSON view overwrite a durable cell file: `--out`
+/// always rewrites its target, and a store (or a retired journal) is
+/// the one artifact a sweep cannot rebuild for free.
+fn refuse_durable_target(path: &str) -> Result<(), CliError> {
+    use std::io::Read as _;
+    let mut magic = [0u8; 8];
+    let read = std::fs::File::open(path).and_then(|mut f| f.read(&mut magic));
+    if read.is_ok_and(|n| n == magic.len()) && is_durable_bytes(&magic) {
+        return Err(CliError::Usage(format!(
+            "refusing to overwrite {path:?} with a JSON view: it is a durable cell \
+             file; resume it with --store or --journal and point --out elsewhere"
+        )));
     }
-    if helios_core::store::is_store_bytes(contents.as_bytes()) {
-        return CliError::Usage(format!(
-            "{path:?} is a columnar cell store, not a JSON report; resume it with \
-             --store {path} (and drop --out, or point --out elsewhere for the view)"
-        ));
+    Ok(())
+}
+
+/// Writes a JSON view to `--out`, refusing to clobber a durable file.
+fn write_view(path: &str, json: &str, out: &mut dyn Write) -> Result<(), CliError> {
+    refuse_durable_target(path)?;
+    std::fs::write(path, json)?;
+    writeln!(out, "wrote {path}")?;
+    Ok(())
+}
+
+/// Reads one result file — a cell store (salvaged read-only; attempt
+/// records never become rows) or a JSON sweep or shard report — as a
+/// shard report. A retired `HELIOSJ1` journal gets the store reader's
+/// typed error naming the format.
+fn read_result_file(path: &str) -> Result<helios_core::ShardReport, CliError> {
+    use helios_core::{ShardReport, SweepReport};
+
+    let bytes = std::fs::read(path)
+        .map_err(|e| CliError::Helios(format!("cannot read result file {path:?}: {e}")))?;
+    if is_durable_bytes(&bytes) {
+        return Ok(helios_core::read_store(std::path::Path::new(path))?.to_shard_report());
     }
-    // Intact JSON that is just not ours: refuse, don't diagnose a crash.
-    if serde_json::from_str::<serde_json::Value>(contents).is_ok() {
-        return CliError::Helios(format!(
-            "refusing to overwrite {path:?}: it is not a shard report of \
-             spec {:?} (digest {}); delete the file or point --out elsewhere",
-            spec.name,
-            spec.digest()
-        ));
+    let json = String::from_utf8_lossy(&bytes);
+    if let Ok(shard) = serde_json::from_str::<ShardReport>(&json) {
+        return Ok(shard);
     }
-    // Truncated / torn JSON: report exactly where the valid bytes end
-    // and how to repair it.
-    let (offset, detail) = match journal::salvage_json_shard_report(contents) {
-        Some(s) => (
-            contents.len() as u64 - s.dropped_bytes,
-            format!(
-                "the JSON is torn mid-write ({} of {} cells still parse); run \
-                 `helios campaign recover {path}` to cut it back to the valid \
-                 prefix, then re-run with the same --out",
-                s.report.cells.len(),
-                s.report.total_cells
-            ),
-        ),
-        None => (
-            0,
-            format!(
-                "the JSON is damaged beyond salvage (no valid cell prefix); \
-                 delete the file, or switch to `--journal {path}.journal` for \
-                 crash-consistent sweeps"
-            ),
-        ),
-    };
-    EngineError::from(CampaignError::CorruptResume {
-        file: path.to_owned(),
-        offset,
-        detail,
+    let full: SweepReport = serde_json::from_str(&json).map_err(|e| {
+        CliError::Helios(format!(
+            "{path:?} is neither a cell store nor a JSON sweep/shard report: {e}"
+        ))
+    })?;
+    Ok(ShardReport {
+        spec_name: full.spec_name,
+        spec_digest: full.spec_digest,
+        total_cells: full.total_cells,
+        shard_index: 1,
+        shard_count: 1,
+        cells: full.cells,
     })
-    .into()
 }
 
-/// The `--journal` arm of `campaign run`: every cell goes through the
-/// fsync'd write-ahead journal, `--out` is an optional view compiled
-/// from it, and SIGINT/SIGTERM drain instead of killing the run.
-fn campaign_run_journal(
-    driver: &helios_core::SweepDriver,
-    spec: &helios_core::CampaignSpec,
-    shard: Option<helios_core::ShardSpec>,
-    journal_path: &str,
-    out_path: Option<&str>,
-    abort_after: Option<usize>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    use helios_core::{merge_shards, JournalOptions, ShardSpec};
-
-    let effective = shard.unwrap_or_else(ShardSpec::full);
-    let opts = JournalOptions {
-        limit: abort_after,
-        cancel: Some(crate::drain::install()),
-        crash_cell: env_hook("HELIOS_JOURNAL_CRASH_CELL")?,
-        tear_after: env_hook("HELIOS_JOURNAL_TORN_WRITE")?,
-        poison_limit: env_hook("HELIOS_POISON_LIMIT")?,
-    };
-    let run = driver.run_journal(spec, effective, std::path::Path::new(journal_path), &opts)?;
-
-    if run.salvaged_cells > 0 || run.dropped_bytes > 0 {
-        writeln!(
-            out,
-            "resumed {journal_path}: {} completed cell(s) salvaged, {} torn byte(s) dropped",
-            run.salvaged_cells, run.dropped_bytes
-        )?;
-    }
-    for cell in &run.poisoned {
-        writeln!(
-            out,
-            "cell {cell} quarantined as poisoned: it crashed the process repeatedly \
-             and is reported with completed=false"
-        )?;
-    }
-
-    let report = run.report;
-    let done = report.cells.len();
-    let owned = done + run.remaining;
-    if run.drained {
-        return Err(CliError::Interrupted(format!(
-            "drained on signal: {done} of {owned} owned cells durable in {journal_path}; \
-             re-run with the same --journal to resume"
-        )));
-    }
-    if run.remaining > 0 {
-        return Err(CliError::Helios(format!(
-            "aborted by HELIOS_SWEEP_ABORT_AFTER after {} cells: {done} of {owned} owned \
-             cells durable in {journal_path}, {} remaining; re-run with the same \
-             --journal to resume",
-            abort_after.unwrap_or(0),
-            run.remaining
-        )));
-    }
-
-    match shard {
-        Some(shard) => {
-            writeln!(
-                out,
-                "shard {shard} of {:?}: {} of {} cells journaled in {journal_path}",
-                report.spec_name, done, report.total_cells
-            )?;
-            if let Some(path) = out_path {
-                std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
-                writeln!(out, "wrote {path} (view compiled from the journal)")?;
-            }
-        }
-        None => {
-            let merged = merge_shards(&[report])?;
-            write_sweep_summary(&merged, out)?;
-            if let Some(path) = out_path {
-                std::fs::write(path, serde_json::to_string_pretty(&merged)?)?;
-                writeln!(out, "wrote {path} (view compiled from the journal)")?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The `--store` arm of `campaign run`: every cell is appended to the
-/// columnar cell store as it finishes, `--out` is an optional JSON view
-/// compiled from it, and SIGINT/SIGTERM drain instead of killing the
-/// run. The store file is what `helios query` and `campaign merge`
-/// consume directly.
-fn campaign_run_store(
-    driver: &helios_core::SweepDriver,
-    spec: &helios_core::CampaignSpec,
-    shard: Option<helios_core::ShardSpec>,
-    store_path: &str,
-    out_path: Option<&str>,
-    abort_after: Option<usize>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    use helios_core::{merge_shards, ShardSpec, StoreOptions};
-
-    let effective = shard.unwrap_or_else(ShardSpec::full);
-    let opts = StoreOptions {
-        limit: abort_after,
-        cancel: Some(crate::drain::install()),
-    };
-    let run = driver.run_store(spec, effective, std::path::Path::new(store_path), &opts)?;
-
-    if run.salvaged_rows > 0 || run.dropped_bytes > 0 {
-        writeln!(
-            out,
-            "resumed {store_path}: {} completed row(s) salvaged, {} torn byte(s) dropped",
-            run.salvaged_rows, run.dropped_bytes
-        )?;
-    }
-
-    let report = run.report;
-    let done = report.cells.len();
-    let owned = done + run.remaining;
-    if run.drained {
-        return Err(CliError::Interrupted(format!(
-            "drained on signal: {done} of {owned} owned cells durable in {store_path}; \
-             re-run with the same --store to resume"
-        )));
-    }
-    if run.remaining > 0 {
-        return Err(CliError::Helios(format!(
-            "aborted by HELIOS_SWEEP_ABORT_AFTER after {} cells: {done} of {owned} owned \
-             cells durable in {store_path}, {} remaining; re-run with the same \
-             --store to resume",
-            abort_after.unwrap_or(0),
-            run.remaining
-        )));
-    }
-
-    match shard {
-        Some(shard) => {
-            writeln!(
-                out,
-                "shard {shard} of {:?}: {} of {} cells stored in {store_path}",
-                report.spec_name, done, report.total_cells
-            )?;
-            if let Some(path) = out_path {
-                std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
-                writeln!(out, "wrote {path} (view compiled from the store)")?;
-            }
-        }
-        None => {
-            let merged = merge_shards(&[report])?;
-            write_sweep_summary(&merged, out)?;
-            if let Some(path) = out_path {
-                std::fs::write(path, serde_json::to_string_pretty(&merged)?)?;
-                writeln!(out, "wrote {path} (view compiled from the store)")?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `helios campaign recover FILE [--out FILE]` — salvage a torn resume
-/// artifact with zero hand-repair.
-///
-/// * A cell journal is truncated to its longest valid record prefix
-///   (in place; the `--out` view is optional) and the pending-attempt
-///   tally is printed so poisoned cells are visible before resuming.
-/// * A columnar cell store is likewise truncated to its longest valid
-///   row-group prefix.
-/// * An intact shard/sweep report needs nothing; say so.
-/// * A torn JSON shard report is cut back to the longest valid cell
-///   prefix (rewritten in place, or to `--out`).
-/// * Anything else is a typed `corrupt resume file` error.
+/// `helios campaign recover FILE [--out FILE]` — salvage a torn cell
+/// store with zero hand-repair: truncate it to its longest valid record
+/// prefix in place (the `--out` view is optional) and print the
+/// pending-attempt tally so poisoned cells are visible before resuming.
+/// Anything that is not a store is a typed `corrupt resume file` error.
 fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    use helios_core::campaign::journal::{self, DEFAULT_POISON_LIMIT};
-    use helios_core::{CampaignError, EngineError, ShardReport, SweepReport};
+    use helios_core::campaign::DEFAULT_POISON_LIMIT;
 
     let Some((file, rest)) = argv.split_first() else {
         return Err(CliError::Usage(
-            "campaign recover FILE [--out FILE] — FILE is the journal or JSON report".into(),
+            "campaign recover FILE [--out FILE] — FILE is the cell store".into(),
         ));
     };
     if file.starts_with('-') {
@@ -672,158 +483,62 @@ fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError
         )));
     }
     let args = Args::parse(rest, &["out"], &[])?;
-    let bytes =
-        std::fs::read(file).map_err(|e| CliError::Helios(format!("cannot read {file:?}: {e}")))?;
-
-    if helios_core::store::is_store_bytes(&bytes) {
-        let salvage = helios_core::recover_store(std::path::Path::new(file))?;
-        let h = &salvage.header;
+    let salvage = helios_core::recover_store(std::path::Path::new(file))?;
+    let h = &salvage.header;
+    writeln!(
+        out,
+        "store {file}: spec {:?} (digest {}), shard {}/{}, {} total cells",
+        h.spec_name, h.spec_digest, h.shard_index, h.shard_count, h.total_cells
+    )?;
+    writeln!(
+        out,
+        "salvaged {} completed row(s); truncated {} torn byte(s)",
+        salvage.cells.len(),
+        salvage.dropped_bytes
+    )?;
+    for (cell, attempts) in salvage.pending_attempts() {
+        let fate = if attempts >= DEFAULT_POISON_LIMIT {
+            " — will be quarantined as poisoned on resume"
+        } else {
+            ""
+        };
         writeln!(
             out,
-            "store {file}: spec {:?} (digest {}), shard {}/{}, {} total cells",
-            h.spec_name, h.spec_digest, h.shard_index, h.shard_count, h.total_cells
+            "cell {cell}: {attempts} attempt(s) without a row{fate}"
         )?;
-        writeln!(
-            out,
-            "salvaged {} completed row(s); truncated {} torn byte(s)",
-            salvage.cells.len(),
-            salvage.dropped_bytes
-        )?;
-        if let Some(path) = args.get("out") {
-            std::fs::write(
-                path,
-                serde_json::to_string_pretty(&salvage.to_shard_report())?,
-            )?;
-            writeln!(out, "wrote {path} (view compiled from the store)")?;
-        }
-        writeln!(
-            out,
-            "resume with: helios campaign run --spec SPEC --store {file}"
-        )?;
-        return Ok(());
     }
-
-    if journal::is_journal_bytes(&bytes) {
-        let salvage = journal::recover_journal(std::path::Path::new(file))?;
-        let h = &salvage.header;
-        writeln!(
-            out,
-            "journal {file}: spec {:?} (digest {}), shard {}/{}, {} total cells",
-            h.spec_name, h.spec_digest, h.shard_index, h.shard_count, h.total_cells
-        )?;
-        writeln!(
-            out,
-            "salvaged {} completed cell(s); truncated {} torn byte(s)",
-            salvage.cells.len(),
-            salvage.dropped_bytes
-        )?;
-        for (cell, attempts) in salvage.pending_attempts() {
-            let fate = if attempts >= DEFAULT_POISON_LIMIT {
-                " — will be quarantined as poisoned on resume"
-            } else {
-                ""
-            };
-            writeln!(
-                out,
-                "cell {cell}: {attempts} attempt(s) without completion{fate}"
-            )?;
-        }
-        if let Some(path) = args.get("out") {
-            std::fs::write(
-                path,
-                serde_json::to_string_pretty(&salvage.to_shard_report())?,
-            )?;
-            writeln!(out, "wrote {path} (view compiled from the journal)")?;
-        }
-        writeln!(
-            out,
-            "resume with: helios campaign run --spec SPEC --journal {file}"
-        )?;
-        return Ok(());
+    if let Some(path) = args.get("out") {
+        let json = serde_json::to_string_pretty(&salvage.to_shard_report())?;
+        write_view(path, &json, out)?;
     }
-
-    let text = String::from_utf8_lossy(&bytes).into_owned();
-    if serde_json::from_str::<ShardReport>(&text).is_ok()
-        || serde_json::from_str::<SweepReport>(&text).is_ok()
-    {
-        writeln!(out, "{file}: intact report; nothing to recover")?;
-        return Ok(());
-    }
-    match journal::salvage_json_shard_report(&text) {
-        Some(s) => {
-            let target = args.get("out").unwrap_or(file);
-            std::fs::write(target, serde_json::to_string_pretty(&s.report)?)?;
-            writeln!(
-                out,
-                "salvaged {} of {} cell(s) from torn JSON report ({} byte(s) dropped); \
-                 wrote {target}",
-                s.report.cells.len(),
-                s.report.total_cells,
-                s.dropped_bytes
-            )?;
-            writeln!(
-                out,
-                "resume with: helios campaign run --spec SPEC --out {target}"
-            )?;
-            Ok(())
-        }
-        None => Err(EngineError::from(CampaignError::CorruptResume {
-            file: (*file).clone(),
-            offset: 0,
-            detail: "neither a cell journal nor a salvageable JSON report; \
-                     delete the file to start fresh"
-                .into(),
-        })
-        .into()),
-    }
+    writeln!(
+        out,
+        "resume with: helios campaign run --spec SPEC --store {file} (or --journal {file})"
+    )?;
+    Ok(())
 }
 
-/// `helios campaign merge` — recombine shard reports, cell journals
-/// and/or columnar stores (detected by magic bytes, salvaged
-/// read-only). The three kinds may be mixed freely in one invocation;
-/// a file from a different campaign is refused by the merge's
-/// spec-digest check.
+/// `helios campaign merge` — recombine JSON shard reports and/or cell
+/// stores (detected by magic bytes, salvaged read-only). A torn store
+/// tail only matters if it hid the last rows, and then the merge names
+/// the missing cells; a file from a different campaign is refused by
+/// the merge's spec-digest check.
 fn campaign_merge(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    use helios_core::campaign::journal;
-    use helios_core::{merge_shards, ShardReport};
-
     let args = Args::parse(argv, &["in", "out"], &[])?;
     let inputs = args.get_all("in");
     if inputs.is_empty() {
         return Err(CliError::Usage(
-            "at least one --in shard-report (or journal/store) file is required".into(),
+            "at least one --in shard-report (or store) file is required".into(),
         ));
     }
-    let mut shards = Vec::with_capacity(inputs.len());
-    for path in inputs {
-        let bytes = std::fs::read(path)
-            .map_err(|e| CliError::Helios(format!("cannot read shard report {path:?}: {e}")))?;
-        if helios_core::store::is_store_bytes(&bytes) {
-            // Read-only, like the journal arm: a torn tail only matters
-            // if it hid the last rows, and then merge_shards names the
-            // missing cells.
-            let salvage = helios_core::read_store(std::path::Path::new(path))?;
-            shards.push(salvage.to_shard_report());
-            continue;
-        }
-        if journal::is_journal_bytes(&bytes) {
-            // Merge reads the journal without truncating it; a torn tail
-            // only matters if it hid the last completions, and then
-            // merge_shards reports the missing cells by index.
-            let salvage = journal::read_journal(std::path::Path::new(path))?;
-            shards.push(salvage.to_shard_report());
-            continue;
-        }
-        let json = String::from_utf8_lossy(&bytes).into_owned();
-        let shard: ShardReport = serde_json::from_str(&json)
-            .map_err(|e| CliError::Helios(format!("shard report {path:?}: {e}")))?;
-        shards.push(shard);
-    }
-    let report = merge_shards(&shards)?;
+    let shards = inputs
+        .into_iter()
+        .map(read_result_file)
+        .collect::<Result<Vec<_>, _>>()?;
+    let report = helios_core::merge_shards(&shards)?;
     write_sweep_summary(&report, out)?;
     if let Some(out_path) = args.get("out") {
-        std::fs::write(out_path, serde_json::to_string_pretty(&report)?)?;
-        writeln!(out, "wrote {out_path}")?;
+        write_view(out_path, &serde_json::to_string_pretty(&report)?, out)?;
     }
     Ok(())
 }
@@ -885,7 +600,7 @@ fn write_sweep_summary(
 ///
 /// The expression is the first positional argument; `--in FILE`
 /// (repeatable) names the inputs. Each input may be a JSON sweep or
-/// shard report, a cell journal, or a columnar store — kinds are
+/// shard report or a cell store — kinds are
 /// detected by magic bytes and may be mixed in one invocation as long
 /// as every file belongs to the same campaign. Rows are queried in
 /// global cell order; `--json` emits one JSON object per row instead of
@@ -908,7 +623,7 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let inputs = args.get_all("in");
     if inputs.is_empty() {
         return Err(CliError::Usage(
-            "at least one --in result file (JSON report, journal or store) is required".into(),
+            "at least one --in result file (JSON report or store) is required".into(),
         ));
     }
     let cells = load_query_cells(&inputs)?;
@@ -928,8 +643,7 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// legitimate question — which is exactly where this is laxer than
 /// `campaign merge`.
 fn load_query_cells(inputs: &[&str]) -> Result<Vec<helios_core::CellResult>, CliError> {
-    use helios_core::campaign::journal;
-    use helios_core::{CampaignError, CellResult, EngineError, ShardReport, SweepReport};
+    use helios_core::{CampaignError, CellResult, EngineError};
 
     let conflict = |detail: String| -> CliError {
         EngineError::from(CampaignError::MergeConflict(detail)).into()
@@ -939,34 +653,7 @@ fn load_query_cells(inputs: &[&str]) -> Result<Vec<helios_core::CellResult>, Cli
     let mut spec: Option<(String, String, usize)> = None;
     let mut seen_in: std::collections::HashMap<usize, String> = std::collections::HashMap::new();
     for path in inputs {
-        let bytes = std::fs::read(path)
-            .map_err(|e| CliError::Helios(format!("cannot read query input {path:?}: {e}")))?;
-        let shard: ShardReport = if helios_core::store::is_store_bytes(&bytes) {
-            helios_core::read_store(std::path::Path::new(path))?.to_shard_report()
-        } else if journal::is_journal_bytes(&bytes) {
-            journal::read_journal(std::path::Path::new(path))?.to_shard_report()
-        } else {
-            let json = String::from_utf8_lossy(&bytes).into_owned();
-            match serde_json::from_str::<ShardReport>(&json) {
-                Ok(shard) => shard,
-                Err(_) => {
-                    let full: SweepReport = serde_json::from_str(&json).map_err(|e| {
-                        CliError::Helios(format!(
-                            "query input {path:?} is neither a store, a journal, nor a \
-                             JSON sweep/shard report: {e}"
-                        ))
-                    })?;
-                    ShardReport {
-                        spec_name: full.spec_name,
-                        spec_digest: full.spec_digest,
-                        total_cells: full.total_cells,
-                        shard_index: 1,
-                        shard_count: 1,
-                        cells: full.cells,
-                    }
-                }
-            }
-        };
+        let shard = read_result_file(path)?;
         match &spec {
             None => {
                 spec = Some((
@@ -1570,7 +1257,6 @@ mod campaign_tests {
     #[test]
     fn campaign_run_merge_roundtrip_is_byte_identical() {
         let dir = std::env::temp_dir().join("helios-cli-campaign-spec");
-        // Stale outputs from earlier runs would trigger resume semantics.
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let spec = dir.join("spec.json");
@@ -1633,7 +1319,6 @@ mod campaign_tests {
     #[test]
     fn campaign_spec_errors_are_hard_and_actionable() {
         let dir = std::env::temp_dir().join("helios-cli-campaign-spec-err");
-        // Stale outputs from earlier runs would trigger resume semantics.
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
 
@@ -1693,7 +1378,7 @@ mod campaign_tests {
     #[test]
     fn store_run_mixed_merge_and_query_roundtrip() {
         let dir = std::env::temp_dir().join("helios-cli-campaign-store");
-        // Stale outputs from earlier runs would trigger resume semantics.
+        // A stale store from an earlier run would be resumed.
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let spec = dir.join("spec.json");

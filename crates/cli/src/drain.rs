@@ -1,11 +1,11 @@
-//! SIGINT/SIGTERM drain flag for journaled sweeps.
+//! SIGINT/SIGTERM drain flag for store sweeps (`--store`/`--journal`).
 //!
 //! Installing the handler turns both signals from process death into a
 //! cooperative drain request: the sweep finishes the cells already in
-//! flight (each durably journaled), stops claiming new ones, and exits
+//! flight (each durably stored), stops claiming new ones, and exits
 //! with a typed resumable status. A second signal during the drain
-//! still kills the process the hard way — which the journal survives
-//! by design.
+//! still kills the process the hard way — which the store survives by
+//! design.
 //!
 //! The handler only stores into a static `AtomicBool` (async-signal
 //! safe); everything else happens on the normal control path. The
@@ -20,7 +20,7 @@ static INSTALL: Once = Once::new();
 
 /// Installs the SIGINT/SIGTERM handler (once per process) and returns
 /// the drain flag it arms. On non-Unix targets the flag is returned
-/// un-armed: signals keep their default behavior and the journal's
+/// un-armed: signals keep their default behavior and the store's
 /// crash salvage covers recovery instead.
 pub fn install() -> &'static AtomicBool {
     INSTALL.call_once(install_handlers);

@@ -31,7 +31,7 @@ pub enum CliError {
     Io(std::io::Error),
     /// Any error surfaced by the helios crates.
     Helios(String),
-    /// A journaled sweep drained on SIGINT/SIGTERM: in-flight cells were
+    /// A store sweep drained on SIGINT/SIGTERM: in-flight cells were
     /// finished and flushed, and the run can resume. Maps to exit code 3
     /// so wrappers can distinguish "interrupted but resumable" from
     /// failure.
@@ -119,14 +119,15 @@ pub fn usage() -> String {
        campaign   run a workflow ensemble (--member path[:arrival[:prio]],\n\
                   --policy fifo|priority|fair-share)\n\
        campaign run    sweep a spec grid (--spec file.json, --shard K/N,\n\
-                       --jobs N, --out report.json, --journal wal.journal,\n\
-                       --store cells.store)\n\
-       campaign merge  recombine shard reports, journals or stores\n\
+                       --jobs N, --out report.json view; resumable cell\n\
+                       store: --store cells.store commits 256-row groups,\n\
+                       --journal cells.store commits every cell)\n\
+       campaign merge  recombine shard reports and/or stores\n\
                        (--in shard.json --in shard.store ..., --out)\n\
-       campaign recover FILE  salvage a torn journal, store or JSON report\n\
-                       in place (--out to write the view elsewhere)\n\
+       campaign recover FILE  salvage a torn store in place (--out to\n\
+                       write a JSON view)\n\
        query      run 'SELECT ... [WHERE ...] [GROUP BY ...]' over sweep\n\
-                  results (--in report.json|wal.journal|cells.store, --json)\n\
+                  results (--in report.json|cells.store, --json)\n\
        fuzz       adversarial harness: random specs vs differential oracles\n\
                   (--seed, --runs, --bugbase DIR, --replay FILE|DIR)\n\
        platforms  list the preset platforms\n\

@@ -13,7 +13,7 @@ fn main() {
         eprintln!("helios: {e}");
         std::process::exit(match e {
             helios_cli::CliError::Usage(_) => 2,
-            // Resumable drain (SIGINT/SIGTERM on a journaled sweep) gets
+            // Resumable drain (SIGINT/SIGTERM on a store sweep) gets
             // its own code so wrappers can re-run instead of failing.
             helios_cli::CliError::Interrupted(_) => 3,
             _ => 1,

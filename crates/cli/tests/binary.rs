@@ -92,7 +92,6 @@ const SPEC_JSON: &str = r#"{
 #[test]
 fn campaign_sharded_sweep_through_the_binary() {
     let dir = std::env::temp_dir().join("helios-bin-sweep");
-    // Stale outputs from earlier runs would trigger resume semantics.
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
@@ -160,62 +159,49 @@ fn killed_sweep_resumes_byte_identically() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
     std::fs::write(dir.join("spec.json"), SPEC_JSON).unwrap();
+    let sweep = |spec: &str, store: &str, out: &str, abort: Option<&str>| {
+        let mut cmd = helios();
+        cmd.args([
+            "campaign",
+            "run",
+            "--spec",
+            &path(spec),
+            "--out",
+            &path(out),
+        ]);
+        if !store.is_empty() {
+            cmd.args(["--store", &path(store)]);
+        }
+        if let Some(n) = abort {
+            cmd.env("HELIOS_SWEEP_ABORT_AFTER", n);
+        }
+        cmd.output().unwrap()
+    };
 
     // The uninterrupted reference run.
-    let out = helios()
-        .args([
-            "campaign",
-            "run",
-            "--spec",
-            &path("spec.json"),
-            "--out",
-            &path("full.json"),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
+    assert!(sweep("spec.json", "", "full.json", None).status.success());
 
-    // "Crash" after one cell: partial shard report, nonzero exit.
-    let out = helios()
-        .args([
-            "campaign",
-            "run",
-            "--spec",
-            &path("spec.json"),
-            "--out",
-            &path("resumed.json"),
-        ])
-        .env("HELIOS_SWEEP_ABORT_AFTER", "1")
-        .output()
-        .unwrap();
+    // The crash hook needs something durable to resume from.
+    let out = sweep("spec.json", "", "resumed.json", Some("1"));
+    assert_eq!(out.status.code(), Some(2), "abort without a store");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--store"));
+
+    // "Crash" after one cell: one row durable, nonzero exit.
+    let out = sweep("spec.json", "sweep.store", "resumed.json", Some("1"));
     assert_eq!(out.status.code(), Some(1), "an aborted sweep must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("HELIOS_SWEEP_ABORT_AFTER"), "{stderr}");
     assert!(stderr.contains("resume"), "{stderr}");
 
-    // Resume against the partial file: skips the done cell, completes.
-    let out = helios()
-        .args([
-            "campaign",
-            "run",
-            "--spec",
-            &path("spec.json"),
-            "--out",
-            &path("resumed.json"),
-        ])
-        .output()
-        .unwrap();
+    // Resume against the partial store: skips the done cell, completes.
+    let out = sweep("spec.json", "sweep.store", "resumed.json", None);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("resuming from"), "{stdout}");
-    assert!(
-        stdout.contains("1 of 2 owned cells already done"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("1 completed row(s) salvaged"), "{stdout}");
 
     let full = std::fs::read(dir.join("full.json")).unwrap();
     let resumed = std::fs::read(dir.join("resumed.json")).unwrap();
@@ -224,42 +210,20 @@ fn killed_sweep_resumes_byte_identically() {
         "kill-and-resume must be byte-identical to the uninterrupted run"
     );
 
-    // Re-running against the complete output is a cheap no-op.
-    let out = helios()
-        .args([
-            "campaign",
-            "run",
-            "--spec",
-            &path("spec.json"),
-            "--out",
-            &path("resumed.json"),
-        ])
-        .output()
-        .unwrap();
+    // Re-running against the complete store re-runs nothing and writes
+    // the same view.
+    let out = sweep("spec.json", "sweep.store", "again.json", None);
     assert!(out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("already complete"),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("2 completed row(s) salvaged"));
+    assert_eq!(std::fs::read(dir.join("again.json")).unwrap(), full);
 
-    // A foreign spec must be refused, not silently overwritten.
+    // A foreign spec must be refused, not silently appended to.
     std::fs::write(
         dir.join("other.json"),
         SPEC_JSON.replace(r#""tasks": 20"#, r#""tasks": 25"#),
     )
     .unwrap();
-    let out = helios()
-        .args([
-            "campaign",
-            "run",
-            "--spec",
-            &path("other.json"),
-            "--out",
-            &path("resumed.json"),
-        ])
-        .output()
-        .unwrap();
+    let out = sweep("other.json", "sweep.store", "other_out.json", None);
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("refusing"), "{stderr}");

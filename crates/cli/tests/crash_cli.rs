@@ -1,6 +1,7 @@
 //! End-to-end crash tests of the compiled `helios` binary: SIGTERM
-//! drain, torn-write injection + `campaign recover`, and the typed
-//! corrupt-resume error for damaged JSON reports.
+//! drain, torn-write injection + `campaign recover`, attempt records
+//! staying out of merge and query, the `--out` clobber guard, and the
+//! typed refusal of retired `HELIOSJ1` journals.
 
 use std::process::Command;
 
@@ -74,7 +75,7 @@ fn sigterm_drains_to_a_resumable_journal() {
     let out = child.wait_with_output().unwrap();
 
     match out.status.code() {
-        // Drained: exit code 3, resumable message, journal intact.
+        // Drained: exit code 3, resumable message, store intact.
         Some(3) => {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(
@@ -133,7 +134,8 @@ fn torn_write_is_salvaged_by_recover_and_resumes_byte_identically() {
         .unwrap();
     assert!(reference.status.success());
 
-    // Tear the 4th journal append halfway through its bytes.
+    // Tear the 4th record append (the second cell's one-row group)
+    // halfway through its bytes.
     let torn = helios()
         .env("HELIOS_JOURNAL_TORN_WRITE", "3")
         .args([
@@ -148,7 +150,7 @@ fn torn_write_is_salvaged_by_recover_and_resumes_byte_identically() {
         .unwrap();
     assert_eq!(torn.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&torn.stderr);
-    assert!(stderr.contains("injected torn journal write"), "{stderr}");
+    assert!(stderr.contains("injected torn store write"), "{stderr}");
 
     let recover = helios()
         .args(["campaign", "recover", &path("sweep.journal")])
@@ -186,7 +188,8 @@ fn torn_write_is_salvaged_by_recover_and_resumes_byte_identically() {
         std::fs::read_to_string(path("ref.json")).unwrap()
     );
 
-    // The journal itself merges directly, producing the same bytes.
+    // The per-cell-commit store merges directly, producing the same
+    // bytes.
     let merge = helios()
         .args([
             "campaign",
@@ -210,125 +213,163 @@ fn torn_write_is_salvaged_by_recover_and_resumes_byte_identically() {
 }
 
 #[test]
-fn corrupt_json_resume_is_typed_and_recover_repairs_it() {
-    let dir = fresh_dir("corruptjson");
+fn attempt_records_stay_out_of_merge_and_query() {
+    let dir = fresh_dir("attempts");
     let path = |n: &str| dir.join(n).to_str().unwrap().to_owned();
     std::fs::write(dir.join("spec.json"), SPEC_JSON).unwrap();
-
     let run = |args: &[&str]| helios().args(args).output().unwrap();
+
     let reference = run(&[
         "campaign",
         "run",
         "--spec",
         &path("spec.json"),
         "--out",
-        &path("full.json"),
+        &path("ref.json"),
     ]);
     assert!(reference.status.success());
 
-    for k in 1..=2 {
-        let out = run(&[
+    // Crash once on cell 1 after its attempt record, then finish: the
+    // store holds five attempts but only four rows.
+    let crashed = helios()
+        .env("HELIOS_JOURNAL_CRASH_CELL", "1")
+        .args([
             "campaign",
             "run",
             "--spec",
             &path("spec.json"),
-            "--shard",
-            &format!("{k}/2"),
-            "--out",
-            &path(&format!("s{k}.json")),
-        ]);
-        assert!(out.status.success());
-    }
-
-    // Simulate a crash mid-write: chop the tail off shard 1's report.
-    let intact = std::fs::read_to_string(path("s1.json")).unwrap();
-    std::fs::write(path("s1.json"), &intact[..intact.len() * 3 / 5]).unwrap();
-
-    let refused = run(&[
-        "campaign",
-        "run",
-        "--spec",
-        &path("spec.json"),
-        "--shard",
-        "1/2",
-        "--out",
-        &path("s1.json"),
-    ]);
-    assert_eq!(refused.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&refused.stderr);
-    assert!(stderr.contains("corrupt resume file"), "{stderr}");
-    assert!(stderr.contains("at byte"), "{stderr}");
-    assert!(stderr.contains("campaign recover"), "{stderr}");
-
-    let recover = run(&["campaign", "recover", &path("s1.json")]);
-    assert!(
-        recover.status.success(),
-        "{}",
-        String::from_utf8_lossy(&recover.stderr)
-    );
+            "--journal",
+            &path("sweep.store"),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(crashed.status.code(), Some(1));
+    let recover = run(&["campaign", "recover", &path("sweep.store")]);
     let stdout = String::from_utf8_lossy(&recover.stdout);
-    assert!(stdout.contains("salvaged"), "{stdout}");
-
-    // The repaired file resumes cleanly, and the merged partition is
-    // byte-identical to the unsharded run.
-    let resumed = run(&[
-        "campaign",
-        "run",
-        "--spec",
-        &path("spec.json"),
-        "--shard",
-        "1/2",
-        "--out",
-        &path("s1.json"),
-    ]);
     assert!(
-        resumed.status.success(),
-        "{}",
-        String::from_utf8_lossy(&resumed.stderr)
+        stdout.contains("cell 1: 1 attempt(s) without a row"),
+        "{stdout}"
     );
-    let merged = run(&[
-        "campaign",
-        "merge",
-        "--in",
-        &path("s1.json"),
-        "--in",
-        &path("s2.json"),
-        "--out",
-        &path("merged.json"),
-    ]);
-    assert!(
-        merged.status.success(),
-        "{}",
-        String::from_utf8_lossy(&merged.stderr)
-    );
-    assert_eq!(
-        std::fs::read_to_string(path("merged.json")).unwrap(),
-        std::fs::read_to_string(path("full.json")).unwrap()
-    );
-
-    // Handing the journal to --out (or an intact report to recover) is
-    // guided, not punished.
-    let run_j = run(&[
+    let done = run(&[
         "campaign",
         "run",
         "--spec",
         &path("spec.json"),
         "--journal",
-        &path("j.journal"),
+        &path("sweep.store"),
     ]);
-    assert!(run_j.status.success());
-    let misuse = run(&[
+    assert!(done.status.success());
+
+    let merge = run(&[
+        "campaign",
+        "merge",
+        "--in",
+        &path("sweep.store"),
+        "--out",
+        &path("merged.json"),
+    ]);
+    assert!(
+        merge.status.success(),
+        "{}",
+        String::from_utf8_lossy(&merge.stderr)
+    );
+    assert_eq!(
+        std::fs::read(path("merged.json")).unwrap(),
+        std::fs::read(path("ref.json")).unwrap()
+    );
+    let query = run(&[
+        "query",
+        "SELECT cell, count(*) GROUP BY cell",
+        "--in",
+        &path("sweep.store"),
+        "--json",
+    ]);
+    assert!(
+        query.status.success(),
+        "{}",
+        String::from_utf8_lossy(&query.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&query.stdout);
+    let rows: Vec<&str> = stdout.lines().filter(|l| l.contains('{')).collect();
+    assert_eq!(rows.len(), 4, "{stdout}");
+    assert!(
+        rows.iter().all(|l| l.contains("\"count(*)\": 1")),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn out_refuses_to_overwrite_durable_files() {
+    let dir = fresh_dir("outguard");
+    let path = |n: &str| dir.join(n).to_str().unwrap().to_owned();
+    std::fs::write(dir.join("spec.json"), SPEC_JSON).unwrap();
+    let run = |args: &[&str]| helios().args(args).output().unwrap();
+
+    let stored = run(&[
+        "campaign",
+        "run",
+        "--spec",
+        &path("spec.json"),
+        "--store",
+        &path("cells.store"),
+    ]);
+    assert!(stored.status.success());
+    std::fs::write(path("old.journal"), b"HELIOSJ1 and then some bytes").unwrap();
+    for target in ["cells.store", "old.journal"] {
+        let before = std::fs::read(path(target)).unwrap();
+        for args in [
+            vec!["campaign", "run", "--spec", &path("spec.json")],
+            vec!["campaign", "merge", "--in", &path("cells.store")],
+        ] {
+            let mut args = args.clone();
+            let target = path(target);
+            args.extend(["--out", &target]);
+            let refused = run(&args);
+            assert_eq!(refused.status.code(), Some(2), "{args:?}");
+            let stderr = String::from_utf8_lossy(&refused.stderr);
+            assert!(stderr.contains("refusing to overwrite"), "{stderr}");
+        }
+        assert_eq!(std::fs::read(path(target)).unwrap(), before);
+    }
+
+    // A JSON view is overwritten, not resumed: a stale or foreign file
+    // at --out is simply replaced.
+    std::fs::write(path("view.json"), "{\"stale\": true}").unwrap();
+    let out = run(&[
         "campaign",
         "run",
         "--spec",
         &path("spec.json"),
         "--out",
-        &path("j.journal"),
+        &path("view.json"),
     ]);
-    assert_eq!(misuse.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&misuse.stderr);
-    assert!(stderr.contains("--journal"), "{stderr}");
-    let noop = run(&["campaign", "recover", &path("full.json")]);
-    assert!(noop.status.success());
-    assert!(String::from_utf8_lossy(&noop.stdout).contains("nothing to recover"));
+    assert!(out.status.success());
+    assert!(std::fs::read_to_string(path("view.json"))
+        .unwrap()
+        .contains("\"spec_name\": \"crash-cli\""));
+}
+
+#[test]
+fn retired_journal_files_get_a_typed_error_everywhere() {
+    let dir = fresh_dir("retired");
+    let path = |n: &str| dir.join(n).to_str().unwrap().to_owned();
+    std::fs::write(dir.join("spec.json"), SPEC_JSON).unwrap();
+    // A HELIOSJ1 magic followed by a (torn) header record.
+    std::fs::write(path("old.journal"), b"HELIOSJ1\x20\x00\x00\x00\x01\x02").unwrap();
+    let old = path("old.journal");
+    let spec = path("spec.json");
+    let cases: [&[&str]; 5] = [
+        &["campaign", "run", "--spec", &spec, "--journal", &old],
+        &["campaign", "run", "--spec", &spec, "--store", &old],
+        &["campaign", "merge", "--in", &old],
+        &["query", "SELECT count(*)", "--in", &old],
+        &["campaign", "recover", &old],
+    ];
+    for args in cases {
+        let out = helios().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("corrupt resume file"), "{args:?}: {stderr}");
+        assert!(stderr.contains("HELIOSJ1"), "{args:?}: {stderr}");
+    }
 }

@@ -27,7 +27,6 @@ use std::sync::Mutex;
 
 use helios_sim::SimRng;
 
-pub mod journal;
 pub mod spec;
 pub mod sweep;
 
@@ -52,9 +51,8 @@ pub enum CampaignError {
     InvalidShard(String),
     /// A resume checkpoint disagrees with the spec being resumed.
     ResumeMismatch(String),
-    /// A resume artifact (JSON report or cell journal) is torn or
-    /// corrupt: a crash interrupted a write and left bytes that cannot
-    /// be trusted past `offset`.
+    /// A resume artifact (a cell store) is torn, corrupt or not a store
+    /// at all: bytes that cannot be trusted start at `offset`.
     CorruptResume {
         /// Path of the damaged file.
         file: String,
@@ -104,14 +102,13 @@ impl fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-pub use journal::{JournalHeader, JournalWriter, JsonSalvage, Salvage};
 pub use spec::{
     CampaignSpec, DvfsKnob, ElasticityKnob, FailureDomainKnob, FaultKnob, InterconnectFaultKnob,
     PolicyKnob, ResilienceKnob, SchedulerParamsKnob, SeedRange, SweepCell,
 };
 pub use sweep::{
-    merge_shards, CellResult, JournalOptions, JournalRun, ResumeOutcome, ShardReport, ShardSpec,
-    StoreOptions, StoreRun, SummaryRow, SweepDriver, SweepReport,
+    merge_shards, CellResult, Commit, ShardReport, ShardSpec, StoreOptions, StoreRun, SummaryRow,
+    SweepDriver, SweepReport, DEFAULT_POISON_LIMIT,
 };
 
 /// Runs the independent cells of a campaign across worker threads.
@@ -201,7 +198,7 @@ impl CampaignEngine {
     /// Because work is claimed through a shared counter, the claimed
     /// indices always form a contiguous prefix of `inputs` — a drained
     /// run returns results for cells `0..k` exactly, never a gappy
-    /// subset, which is what makes the journal's resume math trivial.
+    /// subset, which is what makes the store's resume math trivial.
     ///
     /// # Errors
     ///

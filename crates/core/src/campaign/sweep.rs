@@ -23,12 +23,11 @@ use helios_platform::{presets, Platform};
 use helios_sched::{AnnealingScheduler, LookaheadScheduler, Placement, Schedule, Scheduler};
 use helios_sim::SimDuration;
 
-use super::journal::{self, JournalHeader, JournalWriter, DEFAULT_POISON_LIMIT};
 use super::spec::{family_class, CampaignSpec, DvfsKnob, SweepCell};
 use super::{CampaignEngine, CampaignError};
 use crate::exec::IncompleteReason;
 use crate::resilience::ResilientRunner;
-use crate::store::{StoreHeader, StoreWriter};
+use crate::store::{recover_store, StoreHeader, StoreSalvage, StoreWriter};
 use crate::{Engine, EngineConfig, EngineError, FaultConfig};
 
 /// One shard of a partition: `index` of `count`, 1-based.
@@ -302,265 +301,35 @@ impl SweepDriver {
         spec: &CampaignSpec,
         shard: ShardSpec,
     ) -> Result<ShardReport, EngineError> {
-        Ok(self.resume_shard(spec, shard, None, None)?.report)
-    }
-
-    /// Runs `shard`, skipping cells already present in `prior` — the
-    /// crash-resume path. Because every cell is a pure function of the
-    /// spec and its coordinates, the resumed report is byte-identical
-    /// to an uninterrupted run of the same shard.
-    ///
-    /// `limit` caps the number of cells *executed* by this invocation
-    /// (the `HELIOS_SWEEP_ABORT_AFTER` crash-injection hook); cells cut
-    /// off by the cap are reported in
-    /// [`ResumeOutcome::remaining`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError::ResumeMismatch`] (wrapped in
-    /// [`EngineError::Campaign`]) when `prior` belongs to a different
-    /// spec (name, digest or grid size mismatch), a different shard
-    /// geometry, or claims cells the shard does not own — and
-    /// propagates cell execution errors.
-    pub fn resume_shard(
-        &self,
-        spec: &CampaignSpec,
-        shard: ShardSpec,
-        prior: Option<&ShardReport>,
-        limit: Option<usize>,
-    ) -> Result<ResumeOutcome, EngineError> {
         let cells = spec.expand()?;
         let total_cells = cells.len();
-        let digest = spec.digest();
-
-        let mut done: Vec<CellResult> = Vec::new();
-        if let Some(p) = prior {
-            if p.spec_name != spec.name || p.spec_digest != digest || p.total_cells != total_cells {
-                return Err(CampaignError::ResumeMismatch(format!(
-                    "refusing to resume: the existing report is from a different campaign \
-                     (spec {:?}, digest {}, {} cells) than this spec ({:?}, digest {}, {} \
-                     cells); delete the file or point --out elsewhere",
-                    p.spec_name, p.spec_digest, p.total_cells, spec.name, digest, total_cells
-                ))
-                .into());
-            }
-            if p.shard_index != shard.index() || p.shard_count != shard.count() {
-                return Err(CampaignError::ResumeMismatch(format!(
-                    "refusing to resume: the existing report is shard {}/{}, but this run \
-                     is shard {shard}; re-run with --shard {}/{} or start fresh",
-                    p.shard_index, p.shard_count, p.shard_index, p.shard_count
-                ))
-                .into());
-            }
-            done = p.cells.clone();
-            done.sort_by_key(|c| c.cell);
-            if let Some(bad) = done
-                .iter()
-                .find(|c| !shard.owns(c.cell) || c.cell >= total_cells)
-            {
-                return Err(CampaignError::ResumeMismatch(format!(
-                    "refusing to resume: the existing report claims cell {}, which shard \
-                     {shard} of this {total_cells}-cell grid does not own",
-                    bad.cell
-                ))
-                .into());
-            }
-            if let Some(pair) = done.windows(2).find(|p| p[0].cell == p[1].cell) {
-                return Err(CampaignError::ResumeMismatch(format!(
-                    "refusing to resume: the existing report lists cell {} twice",
-                    pair[0].cell
-                ))
-                .into());
-            }
-        }
-
-        let skipped = done.len();
-        let mut pending: Vec<SweepCell> = cells
-            .into_iter()
-            .filter(|c| {
-                shard.owns(c.index) && done.binary_search_by_key(&c.index, |d| d.cell).is_err()
-            })
-            .collect();
-        let mut remaining = 0;
-        if let Some(cap) = limit {
-            if pending.len() > cap {
-                remaining = pending.len() - cap;
-                pending.truncate(cap);
-            }
-        }
-
-        let fresh = self.engine.run(&pending, |_, cell| run_cell(spec, cell))?;
-        done.extend(fresh);
-        done.sort_by_key(|c| c.cell);
-        Ok(ResumeOutcome {
-            report: ShardReport {
-                spec_name: spec.name.clone(),
-                spec_digest: digest,
-                total_cells,
-                shard_index: shard.index(),
-                shard_count: shard.count(),
-                cells: done,
-            },
-            skipped,
-            remaining,
-        })
+        let owned: Vec<SweepCell> = cells.into_iter().filter(|c| shard.owns(c.index)).collect();
+        let results = self.engine.run(&owned, |_, cell| run_cell(spec, cell))?;
+        Ok(shard_report(spec, shard, total_cells, results))
     }
 
-    /// Runs `shard` against a write-ahead cell journal at `path` — the
-    /// crash-consistent execution path. A fresh path is initialized
-    /// with a checksummed header binding the spec digest and shard
-    /// geometry; an existing journal is salvaged (torn tail truncated)
-    /// and resumed. Every cell appends an fsync'd attempt record before
-    /// executing and an fsync'd completion record after, so a `kill -9`
-    /// at any instant — including mid-write — loses at most the cell in
-    /// flight, and the compiled report is byte-identical to an
-    /// uninterrupted run.
+    /// Runs `shard` against a columnar store file at `path` — the one
+    /// durable execution path. A fresh path is initialized with a
+    /// checksummed header binding the spec digest, shard geometry and
+    /// row schema; an existing store is salvaged (torn tail truncated)
+    /// and resumed, re-running only the missing cells. Because every
+    /// cell is a pure function of the spec and its coordinates, the
+    /// [`ShardReport`] compiled from the stored rows is byte-identical
+    /// to an uninterrupted run.
     ///
-    /// Cells whose attempt count reaches the poison limit with no
-    /// completion record have crashed the process that many times; they
-    /// are quarantined as `completed = false,
-    /// incomplete_reason = "poisoned"` instead of crash-looping.
+    /// [`StoreOptions::commit`] picks how much a crash can lose.
+    /// [`Commit::Group`] buffers rows into [`DEFAULT_SEGMENT_ROWS`]-row
+    /// groups: a crash loses the unflushed rows plus the cells in
+    /// flight. [`Commit::PerCell`] writes an fsync'd attempt record
+    /// before each cell and flushes each completion as its own group:
+    /// a crash loses at most the cells in flight.
     ///
-    /// # Errors
+    /// Cells whose attempt count reaches the poison limit with no row
+    /// have crashed the process that many times; they are quarantined
+    /// as `completed = false, incomplete_reason = "poisoned"` instead of
+    /// crash-looping.
     ///
-    /// [`CampaignError::CorruptResume`] when `path` is not a journal or
-    /// its header is unreadable; [`CampaignError::ResumeMismatch`] when
-    /// the journal belongs to a different campaign or shard geometry —
-    /// plus I/O and cell execution errors.
-    pub fn run_journal(
-        &self,
-        spec: &CampaignSpec,
-        shard: ShardSpec,
-        path: &Path,
-        opts: &JournalOptions<'_>,
-    ) -> Result<JournalRun, EngineError> {
-        let cells = spec.expand()?;
-        let total_cells = cells.len();
-        let digest = spec.digest();
-        let header = JournalHeader {
-            spec_name: spec.name.clone(),
-            spec_digest: digest.clone(),
-            total_cells,
-            shard_index: shard.index(),
-            shard_count: shard.count(),
-        };
-
-        let exists = std::fs::metadata(path)
-            .map(|m| m.len() > 0)
-            .unwrap_or(false);
-        let (writer, mut done, salvaged_cells, dropped_bytes, pending_attempts);
-        if exists {
-            let salvage = journal::recover_journal(path)?;
-            check_journal_header(&salvage.header, &header, shard)?;
-            pending_attempts = salvage.pending_attempts();
-            salvaged_cells = salvage.cells.len();
-            dropped_bytes = salvage.dropped_bytes;
-            done = salvage.cells;
-            writer = JournalWriter::open_append(path, opts.tear_after)?;
-        } else {
-            writer = JournalWriter::create(path, &header, opts.tear_after)?;
-            done = Vec::new();
-            salvaged_cells = 0;
-            dropped_bytes = 0;
-            pending_attempts = Vec::new();
-        }
-        done.sort_by_key(|c| c.cell);
-        if let Some(bad) = done
-            .iter()
-            .find(|c| !shard.owns(c.cell) || c.cell >= total_cells)
-        {
-            return Err(CampaignError::ResumeMismatch(format!(
-                "refusing to resume: the journal claims cell {}, which shard \
-                 {shard} of this {total_cells}-cell grid does not own",
-                bad.cell
-            ))
-            .into());
-        }
-
-        // Quarantine: a cell that has crashed the process `poison_limit`
-        // times becomes a zero-metric measurement, not a fourth attempt.
-        let writer = Mutex::new(writer);
-        let poison_limit = opts.poison_limit.unwrap_or(DEFAULT_POISON_LIMIT);
-        let mut poisoned: Vec<usize> = Vec::new();
-        for &(cell_idx, count) in &pending_attempts {
-            if count < poison_limit || !shard.owns(cell_idx) || cell_idx >= total_cells {
-                continue;
-            }
-            let result = poisoned_result(&cells[cell_idx]);
-            writer
-                .lock()
-                .expect("no poisoned journal lock")
-                .append_cell(&result)?;
-            done.push(result);
-            poisoned.push(cell_idx);
-        }
-        done.sort_by_key(|c| c.cell);
-
-        let skipped = done.len();
-        let mut pending: Vec<SweepCell> = cells
-            .into_iter()
-            .filter(|c| {
-                shard.owns(c.index) && done.binary_search_by_key(&c.index, |d| d.cell).is_err()
-            })
-            .collect();
-        let mut remaining = 0;
-        if let Some(cap) = opts.limit {
-            if pending.len() > cap {
-                remaining = pending.len() - cap;
-                pending.truncate(cap);
-            }
-        }
-
-        let (fresh, drained) = self.engine.run_partial(&pending, opts.cancel, |_, cell| {
-            {
-                let mut w = writer.lock().expect("no poisoned journal lock");
-                w.append_attempt(cell.index)?;
-                if opts.crash_cell == Some(cell.index) {
-                    return Err(EngineError::Config(format!(
-                        "injected crash while executing cell {}",
-                        cell.index
-                    )));
-                }
-            }
-            // The cell executes outside the journal lock; only the
-            // durable appends serialize.
-            let result = run_cell(spec, cell)?;
-            writer
-                .lock()
-                .expect("no poisoned journal lock")
-                .append_cell(&result)?;
-            Ok(result)
-        })?;
-        remaining += pending.len() - fresh.len();
-
-        done.extend(fresh);
-        done.sort_by_key(|c| c.cell);
-        Ok(JournalRun {
-            report: ShardReport {
-                spec_name: spec.name.clone(),
-                spec_digest: digest,
-                total_cells,
-                shard_index: shard.index(),
-                shard_count: shard.count(),
-                cells: done,
-            },
-            skipped,
-            remaining,
-            salvaged_cells,
-            dropped_bytes,
-            poisoned,
-            drained,
-        })
-    }
-
-    /// Runs `shard` against a columnar store segment file at `path` —
-    /// the append-as-you-go result path. A fresh path is initialized
-    /// with a checksummed header binding the spec digest, shard
-    /// geometry and row schema; an existing store is salvaged (torn
-    /// tail truncated) and resumed, re-running only the missing cells.
-    /// Finished cells are appended as columnar row groups, and the
-    /// JSON [`ShardReport`] is compiled *from* those rows — byte
-    /// identical to an uninterrupted `--out` run.
+    /// [`DEFAULT_SEGMENT_ROWS`]: crate::store::DEFAULT_SEGMENT_ROWS
     ///
     /// # Errors
     ///
@@ -577,34 +346,31 @@ impl SweepDriver {
     ) -> Result<StoreRun, EngineError> {
         let cells = spec.expand()?;
         let total_cells = cells.len();
-        let digest = spec.digest();
         let header = StoreHeader {
             spec_name: spec.name.clone(),
-            spec_digest: digest.clone(),
+            spec_digest: spec.digest(),
             total_cells,
             shard_index: shard.index(),
             shard_count: shard.count(),
             columns: crate::store::schema_names(),
         };
 
-        let exists = std::fs::metadata(path)
-            .map(|m| m.len() > 0)
-            .unwrap_or(false);
-        let (writer, mut done, salvaged_rows, dropped_bytes);
-        if exists {
-            let salvage = crate::store::recover_store(path)?;
+        let exists = std::fs::metadata(path).is_ok_and(|m| m.len() > 0);
+        let (mut writer, salvage) = if exists {
+            let salvage = recover_store(path)?;
             check_store_header(&salvage.header, &header, shard)?;
-            salvaged_rows = salvage.cells.len();
-            dropped_bytes = salvage.dropped_bytes;
-            done = salvage.cells;
-            writer = StoreWriter::open_append(path)?;
+            (StoreWriter::open_append(path)?, Some(salvage))
         } else {
-            writer = StoreWriter::create(path, &header)?;
-            done = Vec::new();
-            salvaged_rows = 0;
-            dropped_bytes = 0;
-        }
-        done.sort_by_key(|c| c.cell);
+            (StoreWriter::create(path, &header)?, None)
+        };
+        writer.tear_after(opts.tear_after);
+        let pending_attempts = salvage
+            .as_ref()
+            .map(StoreSalvage::pending_attempts)
+            .unwrap_or_default();
+        let dropped_bytes = salvage.as_ref().map_or(0, |s| s.dropped_bytes);
+        let mut done = salvage.map(|s| s.cells).unwrap_or_default();
+        let salvaged_rows = done.len();
         if let Some(bad) = done
             .iter()
             .find(|c| !shard.owns(c.cell) || c.cell >= total_cells)
@@ -616,6 +382,24 @@ impl SweepDriver {
             ))
             .into());
         }
+
+        // Quarantine: a cell that has crashed the process `poison_limit`
+        // times becomes a zero-metric measurement, not one more attempt.
+        let per_cell = opts.commit == Commit::PerCell;
+        let poison_limit = opts.poison_limit.unwrap_or(DEFAULT_POISON_LIMIT);
+        let mut poisoned: Vec<usize> = Vec::new();
+        for (cell, attempts) in pending_attempts {
+            if attempts >= poison_limit && shard.owns(cell) && cell < total_cells {
+                let result = poisoned_result(&cells[cell]);
+                writer.append_cell(&result)?;
+                done.push(result);
+                poisoned.push(cell);
+            }
+        }
+        if per_cell {
+            writer.flush()?;
+        }
+        done.sort_by_key(|c| c.cell);
 
         let skipped = done.len();
         let mut pending: Vec<SweepCell> = cells
@@ -633,47 +417,68 @@ impl SweepDriver {
         }
 
         let writer = Mutex::new(writer);
-        let run: Result<(Vec<CellResult>, bool), EngineError> =
-            self.engine.run_partial(&pending, opts.cancel, |_, cell| {
-                // The cell executes outside the store lock; only the
-                // columnar appends serialize.
-                let result = run_cell(spec, cell)?;
-                writer
-                    .lock()
-                    .expect("no poisoned store lock")
-                    .append_cell(&result)?;
-                Ok(result)
-            });
+        let lock = || writer.lock().expect("no poisoned store lock");
+        let run = self.engine.run_partial(&pending, opts.cancel, |_, cell| {
+            if per_cell {
+                lock().append_attempt(cell.index)?;
+            }
+            if opts.crash_cell == Some(cell.index) {
+                return Err(EngineError::Config(format!(
+                    "injected crash while executing cell {}",
+                    cell.index
+                )));
+            }
+            // The cell executes outside the store lock; only the
+            // appends serialize.
+            let result = run_cell(spec, cell)?;
+            let mut w = lock();
+            w.append_cell(&result)?;
+            if per_cell {
+                w.flush()?;
+            }
+            Ok(result)
+        });
         // Flush the buffered group tail even when the run failed: rows
         // already appended must become durable before the error (which
         // takes precedence) propagates.
-        let flush = writer.lock().expect("no poisoned store lock").flush();
+        let flush = lock().flush();
         let (fresh, drained) = run?;
         flush?;
         remaining += pending.len() - fresh.len();
 
         done.extend(fresh);
-        done.sort_by_key(|c| c.cell);
         Ok(StoreRun {
-            report: ShardReport {
-                spec_name: spec.name.clone(),
-                spec_digest: digest,
-                total_cells,
-                shard_index: shard.index(),
-                shard_count: shard.count(),
-                cells: done,
-            },
+            report: shard_report(spec, shard, total_cells, done),
             skipped,
             remaining,
             salvaged_rows,
             dropped_bytes,
+            poisoned,
             drained,
         })
     }
 }
 
+/// Assembles a shard's report from its cell results, in cell order.
+fn shard_report(
+    spec: &CampaignSpec,
+    shard: ShardSpec,
+    total_cells: usize,
+    mut cells: Vec<CellResult>,
+) -> ShardReport {
+    cells.sort_by_key(|c| c.cell);
+    ShardReport {
+        spec_name: spec.name.clone(),
+        spec_digest: spec.digest(),
+        total_cells,
+        shard_index: shard.index(),
+        shard_count: shard.count(),
+        cells,
+    }
+}
+
 /// Refuses a store whose header belongs to a different campaign or
-/// shard geometry, with the same actionable messages as journal resume.
+/// shard geometry, with actionable messages.
 fn check_store_header(
     found: &StoreHeader,
     expected: &StoreHeader,
@@ -707,41 +512,6 @@ fn check_store_header(
     Ok(())
 }
 
-/// Refuses a journal whose header belongs to a different campaign or
-/// shard geometry, with the same actionable messages as JSON resume.
-fn check_journal_header(
-    found: &JournalHeader,
-    expected: &JournalHeader,
-    shard: ShardSpec,
-) -> Result<(), EngineError> {
-    if found.spec_name != expected.spec_name
-        || found.spec_digest != expected.spec_digest
-        || found.total_cells != expected.total_cells
-    {
-        return Err(CampaignError::ResumeMismatch(format!(
-            "refusing to resume: the existing journal is from a different campaign \
-             (spec {:?}, digest {}, {} cells) than this spec ({:?}, digest {}, {} \
-             cells); delete the file or point --journal elsewhere",
-            found.spec_name,
-            found.spec_digest,
-            found.total_cells,
-            expected.spec_name,
-            expected.spec_digest,
-            expected.total_cells
-        ))
-        .into());
-    }
-    if found.shard_index != shard.index() || found.shard_count != shard.count() {
-        return Err(CampaignError::ResumeMismatch(format!(
-            "refusing to resume: the existing journal is shard {}/{}, but this run \
-             is shard {shard}; re-run with --shard {}/{} or start fresh",
-            found.shard_index, found.shard_count, found.shard_index, found.shard_count
-        ))
-        .into());
-    }
-    Ok(())
-}
-
 /// The quarantine measurement for a cell that repeatedly killed the
 /// process: zero metrics, `completed = false`, the pinned `poisoned`
 /// reason.
@@ -752,71 +522,28 @@ fn poisoned_result(cell: &SweepCell) -> CellResult {
     result
 }
 
-/// What [`SweepDriver::resume_shard`] did: the merged report plus how
-/// much work was reused and how much is still missing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResumeOutcome {
-    /// The shard report after this invocation (partial iff
-    /// `remaining > 0`).
-    pub report: ShardReport,
-    /// Cells taken over from the prior report instead of re-run.
-    pub skipped: usize,
-    /// Owned cells still missing (nonzero only when a `limit` cut the
-    /// run short).
-    pub remaining: usize,
+/// Attempts without a row before [`SweepDriver::run_store`]
+/// quarantines a cell as poisoned.
+pub const DEFAULT_POISON_LIMIT: u32 = 3;
+
+/// When a durable run makes its rows durable.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Commit {
+    /// Buffer rows and flush them [`DEFAULT_SEGMENT_ROWS`] at a time
+    /// (`--store`); no attempt records.
+    ///
+    /// [`DEFAULT_SEGMENT_ROWS`]: crate::store::DEFAULT_SEGMENT_ROWS
+    #[default]
+    Group,
+    /// Write an fsync'd attempt record before each cell and flush each
+    /// completion as its own group (`--journal`).
+    PerCell,
 }
 
-/// Knobs for [`SweepDriver::run_journal`]: the drain flag plus the
-/// crash-injection hooks. Hooks are explicit fields (not environment
-/// variables) so parallel tests cannot race on process state; the CLI
-/// translates its `HELIOS_*` variables into these.
-#[derive(Debug, Default)]
-pub struct JournalOptions<'a> {
-    /// Cap on cells *executed* by this invocation (the
-    /// `HELIOS_SWEEP_ABORT_AFTER` crash-injection hook).
-    pub limit: Option<usize>,
-    /// Cooperative drain: once set, in-flight cells finish and are
-    /// journaled, no new cells start ([`JournalRun::drained`] reports
-    /// the cut). The CLI arms this from SIGINT/SIGTERM.
-    pub cancel: Option<&'a AtomicBool>,
-    /// Synthetic crash: error out right after durably appending the
-    /// attempt record for this global cell index — the repeatable
-    /// "this cell kills the process" poisoning scenario.
-    pub crash_cell: Option<usize>,
-    /// Torn-write injection: the Nth record append (0-based, attempts
-    /// and completions counted together) persists only half its bytes
-    /// and fails (the `HELIOS_JOURNAL_TORN_WRITE` hook).
-    pub tear_after: Option<u64>,
-    /// Attempts without completion before a cell is quarantined;
-    /// `None` means [`DEFAULT_POISON_LIMIT`].
-    pub poison_limit: Option<u32>,
-}
-
-/// What [`SweepDriver::run_journal`] did: the compiled report plus the
-/// salvage, quarantine and drain accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalRun {
-    /// The shard report compiled from the journal after this
-    /// invocation (partial iff `remaining > 0` or `drained`).
-    pub report: ShardReport,
-    /// Cells taken over from the journal instead of re-run (salvaged
-    /// completions plus freshly quarantined cells).
-    pub skipped: usize,
-    /// Owned cells still missing (a `limit` or drain cut the run).
-    pub remaining: usize,
-    /// Completion records salvaged from the existing journal.
-    pub salvaged_cells: usize,
-    /// Torn-tail bytes truncated during salvage.
-    pub dropped_bytes: u64,
-    /// Cells quarantined as poisoned by *this* invocation, sorted.
-    pub poisoned: Vec<usize>,
-    /// Whether a drain request cut the run short.
-    pub drained: bool,
-}
-
-/// Knobs for [`SweepDriver::run_store`]: the drain flag plus the
-/// crash-injection cap, mirroring [`JournalOptions`] for the columnar
-/// result path.
+/// Knobs for [`SweepDriver::run_store`]: the commit mode, the drain
+/// flag, and the crash-injection hooks. Hooks are explicit fields (not
+/// environment variables) so parallel tests cannot race on process
+/// state; the CLI translates its `HELIOS_*` variables into these.
 #[derive(Debug, Default)]
 pub struct StoreOptions<'a> {
     /// Cap on cells *executed* by this invocation (the
@@ -826,16 +553,30 @@ pub struct StoreOptions<'a> {
     /// appended, no new cells start ([`StoreRun::drained`] reports the
     /// cut). The CLI arms this from SIGINT/SIGTERM.
     pub cancel: Option<&'a AtomicBool>,
+    /// Group commit (the default) or per-cell commit.
+    pub commit: Commit,
+    /// Synthetic crash: error out just before executing this global
+    /// cell index (after its attempt record, under per-cell commit) —
+    /// the repeatable "this cell kills the process" scenario.
+    pub crash_cell: Option<usize>,
+    /// Torn-write injection: record append number N (0-based, attempts
+    /// and groups counted together) persists only half its bytes and
+    /// fails (the `HELIOS_JOURNAL_TORN_WRITE` hook).
+    pub tear_after: Option<u64>,
+    /// Attempts without a row before a cell is quarantined; `None`
+    /// means [`DEFAULT_POISON_LIMIT`].
+    pub poison_limit: Option<u32>,
 }
 
 /// What [`SweepDriver::run_store`] did: the compiled report plus the
-/// salvage and drain accounting.
+/// salvage, quarantine and drain accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreRun {
     /// The shard report compiled from the store after this invocation
     /// (partial iff `remaining > 0` or `drained`).
     pub report: ShardReport,
-    /// Cells taken over from the store instead of re-run.
+    /// Cells taken over from the store instead of re-run (salvaged
+    /// rows plus freshly quarantined cells).
     pub skipped: usize,
     /// Owned cells still missing (a `limit` or drain cut the run).
     pub remaining: usize,
@@ -843,6 +584,8 @@ pub struct StoreRun {
     pub salvaged_rows: usize,
     /// Torn-tail bytes truncated during salvage.
     pub dropped_bytes: u64,
+    /// Cells quarantined as poisoned by *this* invocation, sorted.
+    pub poisoned: Vec<usize>,
     /// Whether a drain request cut the run short.
     pub drained: bool,
 }
@@ -1580,20 +1323,35 @@ mod tests {
         );
     }
 
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("helios-sweep-test-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn cut_at(limit: usize) -> StoreOptions<'static> {
+        StoreOptions {
+            limit: Some(limit),
+            ..StoreOptions::default()
+        }
+    }
+
     #[test]
     fn resume_skips_done_cells_byte_identically() {
         let spec = CampaignSpec::from_json(&spec_json("")).unwrap();
         let driver = SweepDriver::new(1);
         let full = driver.run_shard(&spec, ShardSpec::full()).unwrap();
+        let path = scratch("resume.store");
 
-        // Crash after 2 of 4 cells, then resume against the partial file.
+        // Crash after 2 of 4 cells, then resume against the partial store.
         let partial = driver
-            .resume_shard(&spec, ShardSpec::full(), None, Some(2))
+            .run_store(&spec, ShardSpec::full(), &path, &cut_at(2))
             .unwrap();
         assert_eq!(partial.report.cells.len(), 2);
         assert_eq!(partial.remaining, 2);
         let resumed = driver
-            .resume_shard(&spec, ShardSpec::full(), Some(&partial.report), None)
+            .run_store(&spec, ShardSpec::full(), &path, &StoreOptions::default())
             .unwrap();
         assert_eq!(resumed.skipped, 2, "done cells are skipped, not re-run");
         assert_eq!(resumed.remaining, 0);
@@ -1602,20 +1360,22 @@ mod tests {
             "kill-and-resume must be byte-identical to the uninterrupted run"
         );
 
-        // Resuming a complete shard is a no-op.
+        // Resuming a complete store is a no-op.
         let again = driver
-            .resume_shard(&spec, ShardSpec::full(), Some(&full), None)
+            .run_store(&spec, ShardSpec::full(), &path, &StoreOptions::default())
             .unwrap();
         assert_eq!(again.skipped, 4);
         assert_eq!(again.report, full);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn resume_refuses_foreign_and_mismatched_reports() {
+    fn resume_refuses_foreign_and_mismatched_stores() {
         let spec = CampaignSpec::from_json(&spec_json("")).unwrap();
         let driver = SweepDriver::new(1);
+        let path = scratch("foreign.store");
         let partial = driver
-            .resume_shard(&spec, ShardSpec::full(), None, Some(1))
+            .run_store(&spec, ShardSpec::full(), &path, &cut_at(1))
             .unwrap()
             .report;
 
@@ -1624,27 +1384,34 @@ mod tests {
             noise_cv: 0.2,
             ..spec.clone()
         };
-        let err = driver
-            .resume_shard(&foreign, ShardSpec::full(), Some(&partial), None)
-            .unwrap_err()
-            .to_string();
+        let refuse = |spec: &CampaignSpec, shard: ShardSpec| {
+            driver
+                .run_store(spec, shard, &path, &StoreOptions::default())
+                .unwrap_err()
+                .to_string()
+        };
+        let err = refuse(&foreign, ShardSpec::full());
         assert!(err.contains("different campaign"), "{err}");
 
         // Same spec, different shard geometry.
-        let err = driver
-            .resume_shard(&spec, ShardSpec::new(1, 2).unwrap(), Some(&partial), None)
-            .unwrap_err()
-            .to_string();
+        let err = refuse(&spec, ShardSpec::new(1, 2).unwrap());
         assert!(err.contains("shard 1/1"), "{err}");
 
-        // A report claiming a cell the shard does not own.
-        let mut bad = partial.clone();
-        bad.shard_index = 2;
-        bad.shard_count = 2;
-        let err = driver
-            .resume_shard(&spec, ShardSpec::new(2, 2).unwrap(), Some(&bad), None)
-            .unwrap_err()
-            .to_string();
+        // A store claiming a cell the shard does not own.
+        let header = StoreHeader {
+            spec_name: spec.name.clone(),
+            spec_digest: spec.digest(),
+            total_cells: 4,
+            shard_index: 2,
+            shard_count: 2,
+            columns: crate::store::schema_names(),
+        };
+        let mut w = StoreWriter::create(&path, &header).unwrap();
+        w.append_cell(&partial.cells[0]).unwrap();
+        w.flush().unwrap();
+        drop(w);
+        let err = refuse(&spec, ShardSpec::new(2, 2).unwrap());
         assert!(err.contains("does not own"), "{err}");
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -77,11 +77,11 @@ pub enum IncompleteReason {
     /// family with a small-memory platform is a measurement — completion
     /// probability zero — not a campaign-driver crash.
     Infeasible,
-    /// The cell's attempt record appears `poison_limit` times in a
-    /// write-ahead journal with no completion record: executing it
-    /// killed the process that many times, so the sweep quarantines it
-    /// instead of crash-looping. Unlike the other reasons this is
-    /// diagnosed from the journal, never classified from an error.
+    /// The cell's attempt record appears `poison_limit` times in its
+    /// cell store with no row: executing it killed the process that
+    /// many times, so the sweep quarantines it instead of
+    /// crash-looping. Unlike the other reasons this is diagnosed from
+    /// the store's attempt records, never classified from an error.
     Poisoned,
 }
 

@@ -17,8 +17,8 @@
 //! |                       | sequential reference                                |
 //! | `shard_identity`      | a merged {1/2, 2/2} partition serializes            |
 //! |                       | byte-identical to the unsharded reference           |
-//! | `crash_resume_identity` | a journaled sweep killed at a spec-derived cell   |
-//! |                       | boundary AND torn mid-record (the                   |
+//! | `crash_resume_identity` | a per-cell-commit store sweep killed at a         |
+//! |                       | spec-derived cell boundary AND torn mid-record (the |
 //! |                       | `HELIOS_JOURNAL_TORN_WRITE` hook), then salvaged    |
 //! |                       | and resumed, serializes byte-identical to the       |
 //! |                       | straight-through run                                |
@@ -298,11 +298,11 @@ fn sweep_oracles(
     fault_free_bound(spec, &reference, broken)
 }
 
-/// Kills a journaled sweep twice — once at a spec-derived cell
-/// boundary, once mid-record via the torn-write hook — then salvages,
-/// resumes, and demands the compiled report match the straight-through
-/// bytes exactly. The crash points derive from the spec digest, so a
-/// shrunk fixture replays the identical crash.
+/// Kills a per-cell-commit store sweep (`--journal`) twice — once at a
+/// spec-derived cell boundary, once mid-record via the torn-write hook
+/// — then salvages, resumes, and demands the compiled report match the
+/// straight-through bytes exactly. The crash points derive from the
+/// spec digest, so a shrunk fixture replays the identical crash.
 fn crash_resume_identity(
     spec: &CampaignSpec,
     reference_bytes: &str,
@@ -330,27 +330,26 @@ fn crash_resume_identity_at(
     driver: &SweepDriver,
     path: &std::path::Path,
 ) -> Result<Option<Divergence>, EngineError> {
-    use crate::campaign::journal::TORN_WRITE_INJECTED;
-    use crate::campaign::JournalOptions;
+    use crate::campaign::{Commit, StoreOptions};
+    use crate::store::TORN_WRITE_INJECTED;
+
+    let per_cell = |limit: Option<usize>, tear_after: Option<u64>| StoreOptions {
+        limit,
+        tear_after,
+        commit: Commit::PerCell,
+        ..StoreOptions::default()
+    };
 
     // (a) Crash at a cell boundary: run 0..total-1 cells, then resume.
     let cut = (h as usize) % total;
-    driver.run_journal(
-        spec,
-        ShardSpec::full(),
-        path,
-        &JournalOptions {
-            limit: Some(cut),
-            ..JournalOptions::default()
-        },
-    )?;
-    let resumed = driver.run_journal(spec, ShardSpec::full(), path, &JournalOptions::default())?;
-    if resumed.salvaged_cells != cut {
+    driver.run_store(spec, ShardSpec::full(), path, &per_cell(Some(cut), None))?;
+    let resumed = driver.run_store(spec, ShardSpec::full(), path, &per_cell(None, None))?;
+    if resumed.salvaged_rows != cut {
         return Ok(Some(Divergence::new(
             "crash_resume_identity",
             format!(
-                "journal salvaged {} cells after a boundary crash at {cut}",
-                resumed.salvaged_cells
+                "store salvaged {} rows after a boundary crash at {cut}",
+                resumed.salvaged_rows
             ),
         )));
     }
@@ -361,22 +360,14 @@ fn crash_resume_identity_at(
         )));
     }
 
-    // (b) Tear a record mid-write: every cell appends one attempt and
-    // one completion record, so ordinal `h % 2·total` always lands on
-    // a real append; salvage must truncate the half-record and the
-    // resumed bytes must still match.
+    // (b) Tear a record mid-write: every cell appends one attempt
+    // record and one single-row group, so ordinal `h % 2·total` always
+    // lands on a real append; salvage must truncate the half-record and
+    // the resumed bytes must still match.
     std::fs::remove_file(path)
-        .map_err(|e| EngineError::Config(format!("fuzz scratch journal: {e}")))?;
+        .map_err(|e| EngineError::Config(format!("fuzz scratch store: {e}")))?;
     let tear = h % (2 * total as u64);
-    match driver.run_journal(
-        spec,
-        ShardSpec::full(),
-        path,
-        &JournalOptions {
-            tear_after: Some(tear),
-            ..JournalOptions::default()
-        },
-    ) {
+    match driver.run_store(spec, ShardSpec::full(), path, &per_cell(None, Some(tear))) {
         Ok(_) => {
             return Ok(Some(Divergence::new(
                 "crash_resume_identity",
@@ -386,7 +377,7 @@ fn crash_resume_identity_at(
         Err(e) if e.to_string().contains(TORN_WRITE_INJECTED) => {}
         Err(e) => return Err(e),
     }
-    let resumed = driver.run_journal(spec, ShardSpec::full(), path, &JournalOptions::default())?;
+    let resumed = driver.run_store(spec, ShardSpec::full(), path, &per_cell(None, None))?;
     if resumed.dropped_bytes == 0 {
         return Ok(Some(Divergence::new(
             "crash_resume_identity",

@@ -102,11 +102,10 @@ pub mod resilience;
 pub mod store;
 
 pub use campaign::{
-    cell_rng, merge_shards, CampaignEngine, CampaignError, CampaignSpec, CellResult, DvfsKnob,
-    ElasticityKnob, FailureDomainKnob, FaultKnob, InterconnectFaultKnob, JournalHeader,
-    JournalOptions, JournalRun, JournalWriter, JsonSalvage, PolicyKnob, ResilienceKnob,
-    ResumeOutcome, Salvage, SchedulerParamsKnob, SeedRange, ShardReport, ShardSpec, StoreOptions,
-    StoreRun, SummaryRow, SweepCell, SweepDriver, SweepReport,
+    cell_rng, merge_shards, CampaignEngine, CampaignError, CampaignSpec, CellResult, Commit,
+    DvfsKnob, ElasticityKnob, FailureDomainKnob, FaultKnob, InterconnectFaultKnob, PolicyKnob,
+    ResilienceKnob, SchedulerParamsKnob, SeedRange, ShardReport, ShardSpec, StoreOptions, StoreRun,
+    SummaryRow, SweepCell, SweepDriver, SweepReport,
 };
 pub use config::{CheckpointConfig, EngineConfig, FaultConfig};
 pub use elastic::{

@@ -6,10 +6,10 @@
 //!   mirroring every `CellResult` field, typed values, and the summary
 //!   aggregation plan (`SUMMARY_KEYS`/`SUMMARY_AGGREGATES`) that
 //!   merge, summarize, and the CLI printer all derive from.
-//! * [`segment`] — the `HELIOSC1` append-friendly segment file:
-//!   checksummed columnar row groups with journal-style
-//!   longest-valid-prefix salvage, written incrementally by
-//!   [`StoreWriter`] as cells finish.
+//! * [`segment`] — the `HELIOSC1` append-friendly segment file, the
+//!   one durable cell format: checksummed columnar row groups plus
+//!   attempt records, with longest-valid-prefix salvage, written
+//!   incrementally by [`StoreWriter`] as cells finish.
 //! * [`exec`] + [`query`] — a volcano-style [`Executor`] pipeline
 //!   (scan → filter → project → aggregate/group-by) and the small
 //!   `SELECT … [WHERE …] [GROUP BY …]` language `helios query`
@@ -33,5 +33,5 @@ pub use schema::{
 };
 pub use segment::{
     is_store_bytes, read_store, recover_store, StoreHeader, StoreSalvage, StoreWriter,
-    DEFAULT_SEGMENT_ROWS, STORE_MAGIC,
+    DEFAULT_SEGMENT_ROWS, RETIRED_JOURNAL_MAGIC, STORE_MAGIC, TORN_WRITE_INJECTED,
 };

@@ -1,29 +1,36 @@
-//! The columnar segment file: append-friendly cell-row storage.
+//! The columnar segment file: the one durable cell format.
 //!
 //! A store file is an append-only binary file holding sweep cell rows
 //! in columnar row groups. The layout is
 //!
 //! ```text
-//! magic  "HELIOSC1"                                  (8 bytes)
-//! header [len: u32][crc32: u32][StoreHeader JSON]    (checksummed)
-//! group  [len: u32][crc32: u32][columnar payload]    (repeated)
+//! magic   "HELIOSC1"                                    (8 bytes)
+//! header  [len: u32][crc32: u32][StoreHeader JSON]      (checksummed)
+//! group   [len: u32][crc32: u32][columnar payload]      (repeated)
+//! attempt [8 | 1<<31: u32][crc32: u32][cell: u64]       (interleaved)
 //! ```
 //!
-//! with little-endian integers and IEEE CRC-32 (shared with the journal
-//! codec) over each payload. A group payload is `[rows: u32]` followed
-//! by one contiguous column of values per [`Column`], in schema order:
-//! fixed-width columns are packed little-endian arrays, string columns
-//! are a dictionary (`[entries: u32]` then length-prefixed UTF-8) plus
-//! one `u32` code per row, and nullable string columns reserve code 0
-//! for null. The header binds the file to one campaign (spec name +
-//! digest + grid size), one shard geometry, and the writing schema, so
-//! resume, merge, and query refuse foreign or stale files with typed
-//! errors.
+//! with little-endian integers and IEEE CRC-32 over each payload. A
+//! group payload is `[rows: u32]` followed by one contiguous column of
+//! values per [`Column`], in schema order: fixed-width columns are
+//! packed little-endian arrays, string columns are a dictionary
+//! (`[entries: u32]` then length-prefixed UTF-8) plus one `u32` code
+//! per row, and nullable string columns reserve code 0 for null. The
+//! header binds the file to one campaign (spec name, digest and grid
+//! size), one shard geometry, and the writing schema, so resume, merge,
+//! and query refuse foreign or stale files with typed errors.
 //!
-//! Recovery is the journal's longest-valid-prefix salvage: a group that
-//! fails length/CRC/decode checks starts the torn tail, and
-//! [`recover_store`] truncates that tail in place so the file can be
-//! appended to again. Duplicated cells keep their first occurrence.
+//! An *attempt* record says "this cell is about to execute"; per-cell
+//! commit (`--journal`) writes one before every cell so a cell that
+//! keeps killing the process is visible and can be quarantined. Its
+//! length field carries bit 31, far above the 16 MiB record cap, so a
+//! reader that predates attempt records sees it as torn tail — never
+//! as rows.
+//!
+//! Recovery is longest-valid-prefix salvage: a record that fails
+//! length/CRC/decode checks starts the torn tail, and [`recover_store`]
+//! truncates that tail in place so the file can be appended to again.
+//! Duplicated cells keep their first occurrence.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -32,7 +39,6 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use super::schema::{cell_from_row, row_from_cell, schema_names, Column, ColumnType, Row, Value};
-use crate::campaign::journal::crc32;
 use crate::campaign::sweep::{CellResult, ShardReport};
 use crate::campaign::CampaignError;
 use crate::EngineError;
@@ -44,9 +50,54 @@ pub const STORE_MAGIC: [u8; 8] = *b"HELIOSC1";
 /// checksummed record.
 pub const DEFAULT_SEGMENT_ROWS: usize = 256;
 
+/// Magic of the retired `HELIOSJ1` cell journal. Such files are
+/// refused with an error that names the format, not read.
+pub const RETIRED_JOURNAL_MAGIC: [u8; 8] = *b"HELIOSJ1";
+
+/// Message prefix of the injected torn-write error, so harnesses can
+/// tell the synthetic tear from a real I/O failure.
+pub const TORN_WRITE_INJECTED: &str = "injected torn store write";
+
 /// Upper bound on a single group payload; anything larger in the
 /// length field is torn-tail garbage, not a record.
 const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
+
+/// Length-field bit that marks an attempt record. It lies above
+/// [`MAX_RECORD_LEN`], so an attempt reads as torn tail to a reader
+/// that only knows row groups.
+const ATTEMPT_BIT: u32 = 1 << 31;
+
+/// IEEE CRC-32 lookup table, built at compile time.
+const fn crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+}
+
+static CRC_TABLE: [u32; 256] = crc_table();
+
+/// IEEE CRC-32 of `bytes` (the checksum guarding every record).
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
 
 /// The checksummed first record: campaign identity, shard geometry,
 /// and the column list the file was written with.
@@ -73,13 +124,16 @@ pub fn is_store_bytes(bytes: &[u8]) -> bool {
 }
 
 /// The salvageable state of a store file: header, the longest valid
-/// group prefix decoded back to cells, and the torn tail size.
+/// record prefix decoded back to cells and attempts, and the torn tail
+/// size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreSalvage {
     /// The validated header record.
     pub header: StoreHeader,
     /// Decoded rows in append order, first occurrence per cell.
     pub cells: Vec<CellResult>,
+    /// Attempt records in append order (a cell may repeat).
+    pub attempts: Vec<usize>,
     /// Bytes of valid prefix (magic + header + intact groups).
     pub valid_bytes: u64,
     /// Bytes of torn tail after the valid prefix.
@@ -101,6 +155,18 @@ impl StoreSalvage {
             shard_count: self.header.shard_count,
             cells,
         }
+    }
+
+    /// Cells with attempt records but no row, with their attempt
+    /// counts — the poisoned-cell candidates. Sorted by cell.
+    #[must_use]
+    pub fn pending_attempts(&self) -> Vec<(usize, u32)> {
+        let done: std::collections::HashSet<usize> = self.cells.iter().map(|c| c.cell).collect();
+        let mut counts = std::collections::BTreeMap::new();
+        for cell in self.attempts.iter().filter(|c| !done.contains(c)) {
+            *counts.entry(*cell).or_insert(0u32) += 1;
+        }
+        counts.into_iter().collect()
     }
 }
 
@@ -350,6 +416,16 @@ pub fn recover_store(path: &Path) -> Result<StoreSalvage, EngineError> {
 }
 
 fn salvage_store_bytes(path: &Path, bytes: &[u8]) -> Result<StoreSalvage, EngineError> {
+    if bytes.starts_with(&RETIRED_JOURNAL_MAGIC) {
+        return Err(corrupt(
+            path,
+            0,
+            "this is a HELIOSJ1 cell journal, a format helios no longer reads; \
+             the HELIOSC1 store replaced it — re-run the sweep with --journal \
+             into a fresh file"
+                .into(),
+        ));
+    }
     if !is_store_bytes(bytes) {
         return Err(corrupt(
             path,
@@ -402,14 +478,16 @@ fn salvage_store_bytes(path: &Path, bytes: &[u8]) -> Result<StoreSalvage, Engine
     }
     at += 8 + len;
 
-    // Row groups: longest valid prefix; the first bad record starts
-    // the torn tail.
+    // Row groups and attempt records: longest valid prefix; the first
+    // bad record starts the torn tail.
     let mut cells: Vec<CellResult> = Vec::new();
+    let mut attempts: Vec<usize> = Vec::new();
     let mut seen = std::collections::HashSet::new();
     let mut valid = at;
-    'groups: while at + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+    'records: while at + 8 <= bytes.len() {
+        let field = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
         let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
+        let len = (field & !ATTEMPT_BIT) as usize;
         if len as u32 > MAX_RECORD_LEN || bytes.len() < at + 8 + len {
             break;
         }
@@ -417,19 +495,29 @@ fn salvage_store_bytes(path: &Path, bytes: &[u8]) -> Result<StoreSalvage, Engine
         if crc32(payload) != crc {
             break;
         }
-        let Some(rows) = decode_group(payload) else {
-            break;
-        };
-        for row in &rows {
-            let Ok(cell) = cell_from_row(row) else {
-                break 'groups;
+        if field & ATTEMPT_BIT != 0 {
+            let Ok(cell) = <[u8; 8]>::try_from(payload) else {
+                break;
             };
-            // Deterministic cells make duplicates identical; keep the
-            // first occurrence so salvage is order-stable. The seen-set
-            // keeps salvage O(rows): a linear scan here is quadratic
-            // and dominates large-store reads.
-            if seen.insert(cell.cell) {
-                cells.push(cell);
+            let Ok(cell) = usize::try_from(u64::from_le_bytes(cell)) else {
+                break;
+            };
+            attempts.push(cell);
+        } else {
+            let Some(rows) = decode_group(payload) else {
+                break;
+            };
+            for row in &rows {
+                let Ok(cell) = cell_from_row(row) else {
+                    break 'records;
+                };
+                // Deterministic cells make duplicates identical; keep the
+                // first occurrence so salvage is order-stable. The
+                // seen-set keeps salvage O(rows): a linear scan here is
+                // quadratic and dominates large-store reads.
+                if seen.insert(cell.cell) {
+                    cells.push(cell);
+                }
             }
         }
         at += 8 + len;
@@ -439,6 +527,7 @@ fn salvage_store_bytes(path: &Path, bytes: &[u8]) -> Result<StoreSalvage, Engine
     Ok(StoreSalvage {
         header,
         cells,
+        attempts,
         valid_bytes: valid as u64,
         dropped_bytes: (bytes.len() - valid) as u64,
     })
@@ -450,12 +539,18 @@ fn salvage_store_bytes(path: &Path, bytes: &[u8]) -> Result<StoreSalvage, Engine
 /// call [`StoreWriter::flush`] before dropping the writer or the
 /// buffered tail is lost (the driver always does, even on error paths,
 /// so a crash loses at most one unflushed group — never a row that was
-/// reported durable).
+/// reported durable). Per-cell commit is an explicit `flush` after each
+/// [`append_cell`](StoreWriter::append_cell).
 #[derive(Debug)]
 pub struct StoreWriter {
     file: File,
     path: PathBuf,
     pending: Vec<Row>,
+    /// Records (groups and attempts) written since this writer opened.
+    appends: u64,
+    /// Crash-injection hook: the record with this ordinal persists only
+    /// half its bytes and fails with [`TORN_WRITE_INJECTED`].
+    tear_after: Option<u64>,
 }
 
 impl StoreWriter {
@@ -485,11 +580,7 @@ impl StoreWriter {
             .map_err(|e| io_err(path, "write header", &e))?;
         file.sync_data()
             .map_err(|e| io_err(path, "fsync header", &e))?;
-        Ok(StoreWriter {
-            file,
-            path: path.to_path_buf(),
-            pending: Vec::new(),
-        })
+        Ok(StoreWriter::over(file, path))
     }
 
     /// Opens an existing store for appending. The caller is expected
@@ -503,11 +594,33 @@ impl StoreWriter {
             .append(true)
             .open(path)
             .map_err(|e| io_err(path, "open for append", &e))?;
-        Ok(StoreWriter {
+        Ok(StoreWriter::over(file, path))
+    }
+
+    fn over(file: File, path: &Path) -> StoreWriter {
+        StoreWriter {
             file,
             path: path.to_path_buf(),
             pending: Vec::new(),
-        })
+            appends: 0,
+            tear_after: None,
+        }
+    }
+
+    /// Arms the torn-write hook: record append number `after`
+    /// (0-based, groups and attempts counted together) writes half its
+    /// bytes and fails, the shape a kill mid-`write(2)` leaves behind.
+    pub(crate) fn tear_after(&mut self, after: Option<u64>) {
+        self.tear_after = after;
+    }
+
+    /// Durably records that `cell` is about to execute.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, and the injected tear when armed.
+    pub(crate) fn append_attempt(&mut self, cell: usize) -> Result<(), EngineError> {
+        self.write_record(ATTEMPT_BIT, &(cell as u64).to_le_bytes())
     }
 
     /// Buffers one finished cell; flushes a durable columnar group when
@@ -535,23 +648,48 @@ impl StoreWriter {
             return Ok(());
         }
         let payload = encode_group(&self.pending)?;
+        self.write_record(0, &payload)?;
+        self.pending.clear();
+        Ok(())
+    }
+
+    /// Frames, writes and fsyncs one record; `kind` is 0 for a group or
+    /// [`ATTEMPT_BIT`] for an attempt.
+    fn write_record(&mut self, kind: u32, payload: &[u8]) -> Result<(), EngineError> {
         if payload.len() as u64 > u64::from(MAX_RECORD_LEN) {
             return Err(EngineError::Config(format!(
-                "store group payload of {} bytes exceeds the {MAX_RECORD_LEN}-byte cap",
+                "store record payload of {} bytes exceeds the {MAX_RECORD_LEN}-byte cap",
                 payload.len()
             )));
         }
         let mut buf = Vec::with_capacity(8 + payload.len());
-        push_u32(&mut buf, payload.len() as u32);
-        push_u32(&mut buf, crc32(&payload));
-        buf.extend_from_slice(&payload);
+        push_u32(&mut buf, kind | payload.len() as u32);
+        push_u32(&mut buf, crc32(payload));
+        buf.extend_from_slice(payload);
+        let torn = self.tear_after == Some(self.appends);
+        if torn {
+            // Crash injection: persist half the record, then fail. The
+            // buffered rows die with the "process", and the hook is
+            // spent so the error path cannot tear a second record.
+            buf.truncate((buf.len() / 2).max(1));
+            self.tear_after = None;
+            self.pending.clear();
+        }
         self.file
             .write_all(&buf)
-            .map_err(|e| io_err(&self.path, "append group", &e))?;
+            .map_err(|e| io_err(&self.path, "append record", &e))?;
         self.file
             .sync_data()
-            .map_err(|e| io_err(&self.path, "fsync group", &e))?;
-        self.pending.clear();
+            .map_err(|e| io_err(&self.path, "fsync record", &e))?;
+        if torn {
+            return Err(EngineError::Config(format!(
+                "{TORN_WRITE_INJECTED}: wrote {} of {} record bytes to {} and aborted",
+                buf.len(),
+                8 + payload.len(),
+                self.path.display()
+            )));
+        }
+        self.appends += 1;
         Ok(())
     }
 }
@@ -744,5 +882,95 @@ mod tests {
         let mut padded = payload.clone();
         padded.push(0);
         assert!(decode_group(&padded).is_none());
+    }
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // IEEE CRC-32 of "123456789" is the classic check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn attempt_records_round_trip_beside_groups() {
+        let path = tmp("attempts.store");
+        let mut w = StoreWriter::create(&path, &header()).unwrap();
+        let header_only = std::fs::metadata(&path).unwrap().len();
+        w.append_attempt(0).unwrap();
+        w.append_cell(&cell(0)).unwrap();
+        w.flush().unwrap();
+        w.append_attempt(2).unwrap();
+        w.append_attempt(2).unwrap();
+        drop(w);
+
+        let s = read_store(&path).unwrap();
+        assert_eq!(s.cells, vec![cell(0)], "attempts are never rows");
+        assert_eq!(s.attempts, vec![0, 2, 2]);
+        assert_eq!(s.dropped_bytes, 0);
+        assert_eq!(s.pending_attempts(), vec![(2, 2)]);
+
+        // A reader that predates attempt records stops at the length
+        // check: the field exceeds the record cap, so the attempt and
+        // everything after it is torn tail to that reader, not rows.
+        let bytes = std::fs::read(&path).unwrap();
+        let at = header_only as usize;
+        let field = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert!(field > MAX_RECORD_LEN, "{field:#x}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn malformed_attempt_records_start_the_torn_tail() {
+        let path = tmp("bad-attempt.store");
+        let mut w = StoreWriter::create(&path, &header()).unwrap();
+        w.append_cell(&cell(0)).unwrap();
+        w.flush().unwrap();
+        drop(w);
+        let intact = std::fs::metadata(&path).unwrap().len();
+        // A CRC-valid attempt whose payload is not 8 bytes.
+        let payload = [1u8, 2, 3];
+        let mut bad = Vec::new();
+        push_u32(&mut bad, ATTEMPT_BIT | payload.len() as u32);
+        push_u32(&mut bad, crc32(&payload));
+        bad.extend_from_slice(&payload);
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&bad).unwrap();
+        drop(f);
+
+        let s = read_store(&path).unwrap();
+        assert_eq!(s.cells, vec![cell(0)]);
+        assert!(s.attempts.is_empty());
+        assert_eq!(s.valid_bytes, intact);
+        assert_eq!(s.dropped_bytes, bad.len() as u64);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn injected_tear_writes_half_a_record_once() {
+        let path = tmp("tear.store");
+        let mut w = StoreWriter::create(&path, &header()).unwrap();
+        w.tear_after(Some(1));
+        w.append_attempt(0).unwrap();
+        w.append_cell(&cell(0)).unwrap();
+        let err = w.flush().unwrap_err().to_string();
+        assert!(err.contains(TORN_WRITE_INJECTED), "{err}");
+        // The hook is spent and the torn group's rows are gone.
+        w.flush().unwrap();
+        drop(w);
+        let s = recover_store(&path).unwrap();
+        assert!(s.cells.is_empty());
+        assert_eq!(s.attempts, vec![0]);
+        assert!(s.dropped_bytes > 0, "the half-record must be measurable");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn retired_journal_magic_is_refused_by_name() {
+        let path = tmp("old.journal");
+        std::fs::write(&path, b"HELIOSJ1\x10\x00\x00\x00").unwrap();
+        let err = read_store(&path).unwrap_err().to_string();
+        assert!(err.contains("corrupt resume"), "{err}");
+        assert!(err.contains("HELIOSJ1"), "{err}");
+        std::fs::remove_file(&path).unwrap();
     }
 }
