@@ -71,19 +71,23 @@ helios=target/release/helios
 cmp "$sweep_tmp/full.json" "$sweep_tmp/merged.json"
 echo "2-shard merge is byte-identical to the unsharded sweep"
 
-echo "==> paper-grid report bytes (pinned digest)"
+echo "==> paper-grid report bytes (pinned digest, --jobs 1 and 2)"
 # The release binary sweeps the paper's 1200-cell evaluation grid; the
 # --out report must hash to the committed digest. Planning and metrics
 # optimizations claim byte-identical output, and this is their gate.
-"$helios" campaign run --spec examples/specs/paper_grid.json \
-    --out "$sweep_tmp/paper_grid.json" > /dev/null
-grid_digest=$(sha256sum "$sweep_tmp/paper_grid.json" | cut -d' ' -f1)
-if [ "$grid_digest" != "$(cat tests/fixtures/paper_grid_report.sha256)" ]; then
-    echo "paper-grid report digest $grid_digest differs from" \
-        "tests/fixtures/paper_grid_report.sha256" >&2
-    exit 1
-fi
-echo "paper-grid report matches the pinned digest"
+# The --jobs 2 run gates the sweep's shared per-call memo of workflows
+# and SLR bounds, which workers fill concurrently.
+for jobs in 1 2; do
+    "$helios" campaign run --spec examples/specs/paper_grid.json --jobs "$jobs" \
+        --out "$sweep_tmp/paper_grid.json" > /dev/null
+    grid_digest=$(sha256sum "$sweep_tmp/paper_grid.json" | cut -d' ' -f1)
+    if [ "$grid_digest" != "$(cat tests/fixtures/paper_grid_report.sha256)" ]; then
+        echo "paper-grid report digest $grid_digest (--jobs $jobs) differs from" \
+            "tests/fixtures/paper_grid_report.sha256" >&2
+        exit 1
+    fi
+done
+echo "paper-grid report matches the pinned digest at --jobs 1 and 2"
 
 echo "==> kill-and-resume smoke (resilient spec)"
 # A store sweep of the resilient spec is cut after one cell (test hook,

@@ -13,15 +13,19 @@
 //! **byte-identical** to the unsharded sequential run, while refusing
 //! overlapping shards, missing cells and shards of different specs.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
 
 use helios_platform::{presets, Platform};
-use helios_sched::{AnnealingScheduler, LookaheadScheduler, Placement, Schedule, Scheduler};
+use helios_sched::{
+    metrics, AnnealingScheduler, LookaheadScheduler, Placement, SchedError, Schedule, Scheduler,
+};
 use helios_sim::SimDuration;
+use helios_workflow::Workflow;
 
 use super::spec::{family_class, CampaignSpec, DvfsKnob, SweepCell};
 use super::{CampaignEngine, CampaignError};
@@ -304,7 +308,10 @@ impl SweepDriver {
         let cells = spec.expand()?;
         let total_cells = cells.len();
         let owned: Vec<SweepCell> = cells.into_iter().filter(|c| shard.owns(c.index)).collect();
-        let results = self.engine.run(&owned, |_, cell| run_cell(spec, cell))?;
+        let memo = CellMemo::default();
+        let results = self
+            .engine
+            .run(&owned, |_, cell| run_cell(spec, cell, &memo))?;
         Ok(shard_report(spec, shard, total_cells, results))
     }
 
@@ -418,6 +425,7 @@ impl SweepDriver {
 
         let writer = Mutex::new(writer);
         let lock = || writer.lock().expect("no poisoned store lock");
+        let memo = CellMemo::default();
         let run = self.engine.run_partial(&pending, opts.cancel, |_, cell| {
             if per_cell {
                 lock().append_attempt(cell.index)?;
@@ -430,7 +438,7 @@ impl SweepDriver {
             }
             // The cell executes outside the store lock; only the
             // appends serialize.
-            let result = run_cell(spec, cell)?;
+            let result = run_cell(spec, cell, &memo)?;
             let mut w = lock();
             w.append_cell(&result)?;
             if per_cell {
@@ -614,8 +622,47 @@ pub(crate) fn cell_scheduler(spec: &CampaignSpec, name: &str) -> Option<Box<dyn 
     helios_sched::scheduler_by_name(name)
 }
 
+/// The pure per-cell work the cells of one sweep call share: each
+/// workflow, keyed by (family, tasks, seed), and its SLR critical-path
+/// bound, keyed by (family, tasks, seed, platform). Both are pure
+/// functions of their keys, so a cell's bytes do not depend on which
+/// worker filled an entry. All workers share one memo, dropped when the
+/// call returns. Expansion is family-outermost, so the memo empties
+/// itself when another family asks and holds about one family at a time.
+#[derive(Debug, Default)]
+struct CellMemo(Mutex<MemoEntries>);
+
+type WorkflowKey = (String, usize, u64);
+
+#[derive(Debug, Default)]
+struct MemoEntries {
+    family: String,
+    workflows: HashMap<WorkflowKey, Arc<Workflow>>,
+    /// A zero bound is kept as its error, failing every cell it serves.
+    bounds: HashMap<(WorkflowKey, String), Result<f64, SchedError>>,
+}
+
+impl CellMemo {
+    /// The entries, emptied first when they hold another family.
+    fn entries(&self, family: &str) -> MutexGuard<'_, MemoEntries> {
+        let mut entries = self.0.lock().expect("no poisoned memo lock");
+        if entries.family != family {
+            *entries = MemoEntries {
+                family: family.to_owned(),
+                ..MemoEntries::default()
+            };
+        }
+        entries
+    }
+}
+
 /// Executes one grid cell: generate, plan, apply the DVFS knob, run.
-fn run_cell(spec: &CampaignSpec, cell: &SweepCell) -> Result<CellResult, EngineError> {
+/// The workflow and the SLR bound come from the sweep's `memo`.
+fn run_cell(
+    spec: &CampaignSpec,
+    cell: &SweepCell,
+    memo: &CellMemo,
+) -> Result<CellResult, EngineError> {
     let platform = presets::by_name(&cell.platform)
         .ok_or_else(|| EngineError::Config(format!("unknown platform {:?}", cell.platform)))?;
     let class = family_class(&cell.family)
@@ -623,7 +670,11 @@ fn run_cell(spec: &CampaignSpec, cell: &SweepCell) -> Result<CellResult, EngineE
     let scheduler = cell_scheduler(spec, &cell.scheduler)
         .ok_or_else(|| EngineError::Config(format!("unknown scheduler {:?}", cell.scheduler)))?;
 
-    let wf = class.generate(spec.tasks, cell.seed)?;
+    let key = (cell.family.clone(), spec.tasks, cell.seed);
+    let wf = match memo.entries(&cell.family).workflows.entry(key.clone()) {
+        Entry::Occupied(e) => Arc::clone(e.get()),
+        Entry::Vacant(e) => Arc::clone(e.insert(Arc::new(class.generate(spec.tasks, cell.seed)?))),
+    };
 
     let faults = match &spec.faults {
         None => None,
@@ -690,7 +741,13 @@ fn run_cell(spec: &CampaignSpec, cell: &SweepCell) -> Result<CellResult, EngineE
     };
 
     result.makespan_secs = report.makespan().as_secs();
-    result.slr = report.slr(&wf, &platform)?;
+    let bound = memo
+        .entries(&cell.family)
+        .bounds
+        .entry((key, cell.platform.clone()))
+        .or_insert_with(|| metrics::critical_path_bound(&wf, &platform))
+        .clone()?;
+    result.slr = metrics::slr_from_bound(report.schedule(), bound);
     result.energy_j = report.energy().total_j();
     result.transfers = report.transfers().count;
     result.transfer_bytes = report.transfers().bytes;
@@ -1367,6 +1424,60 @@ mod tests {
         assert_eq!(again.skipped, 4);
         assert_eq!(again.report, full);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The per-sweep memo shares workflows and SLR bounds between
+    /// workers, and workers cross family boundaries at different times:
+    /// every run must still match the sequential reference byte for byte.
+    #[test]
+    fn the_sweep_memo_is_invisible_in_the_bytes() {
+        let spec = |tasks: usize| {
+            CampaignSpec::from_json(&format!(
+                r#"{{
+                    "name": "memo",
+                    "families": ["montage", "sipht", "cybershake", "ligo", "epigenomics"],
+                    "platforms": ["workstation", "edge_soc"],
+                    "schedulers": ["heft", "annealing"],
+                    "seeds": {{"base": 0, "count": 3}},
+                    "tasks": {tasks},
+                    "noise_cv": 0.1
+                }}"#
+            ))
+            .unwrap()
+        };
+        fn bytes<T: Serialize>(report: &T) -> String {
+            serde_json::to_string(report).unwrap()
+        }
+        let a = spec(30);
+        let reference = SweepDriver::new(1).run(&a).unwrap();
+        for _ in 0..3 {
+            assert_eq!(
+                bytes(&SweepDriver::new(4).run(&a).unwrap()),
+                bytes(&reference)
+            );
+        }
+
+        let shard = SweepDriver::new(1)
+            .run_shard(&a, ShardSpec::full())
+            .unwrap();
+        let path = scratch("memo.store");
+        let two = SweepDriver::new(2);
+        let cut = two
+            .run_store(&a, ShardSpec::full(), &path, &cut_at(17))
+            .unwrap();
+        assert_eq!(cut.remaining, shard.cells.len() - 17);
+        let resumed = two
+            .run_store(&a, ShardSpec::full(), &path, &StoreOptions::default())
+            .unwrap();
+        assert_eq!(bytes(&resumed.report), bytes(&shard));
+        std::fs::remove_file(&path).unwrap();
+
+        // Specs that differ only in `tasks`, swept back to back.
+        let b = spec(24);
+        let fresh_b = SweepDriver::new(1).run(&b).unwrap();
+        assert_ne!(reference.cells, fresh_b.cells);
+        assert_eq!(bytes(&two.run(&a).unwrap()), bytes(&reference));
+        assert_eq!(bytes(&two.run(&b).unwrap()), bytes(&fresh_b));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Simulated-annealing schedule refinement.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use helios_platform::{DeviceId, Platform};
@@ -54,51 +54,172 @@ impl Default for AnnealingScheduler {
     }
 }
 
-/// The integer key `f64::total_cmp` compares (its own bit transform).
-fn total_order_key(x: f64) -> i64 {
-    let bits = x.to_bits() as i64;
-    bits ^ (((bits >> 63) as u64) >> 1) as i64
+/// A task's ready-set key: max-heap order on (priority, lower id first),
+/// the priority as the integer `f64::total_cmp` compares (its own bit
+/// transform). The key is unique, so tasks pop in exactly the order a
+/// linear max scan would pick them.
+type Key = (i64, Reverse<TaskId>);
+
+fn key(priority: f64, task: TaskId) -> Key {
+    let bits = priority.to_bits() as i64;
+    (bits ^ (((bits >> 63) as u64) >> 1) as i64, Reverse(task))
 }
 
-/// Decodes (priority, assignment) into `ctx`, resetting it first:
-/// repeatedly commits the highest-priority ready task to its assigned
-/// device at its EFT. Returns the makespan in seconds, as
-/// [`Schedule::makespan`] would report it; the placements stay in `ctx`.
-fn decode(
-    wf: &Workflow,
-    ctx: &mut SchedContext<'_>,
-    priority: &[f64],
-    assignment: &[DeviceId],
-) -> Result<f64, SchedError> {
-    ctx.reset();
-    let mut indegree: Vec<usize> = (0..wf.num_tasks())
-        .map(|i| wf.predecessors(TaskId(i)).len())
-        .collect();
-    // Max-heap on (priority, lower id first). The key is unique, so tasks
-    // pop in exactly the order a linear max scan would pick them.
-    let key = |t: TaskId| (total_order_key(priority[t.0]), Reverse(t));
-    let mut ready: BinaryHeap<_> = (0..wf.num_tasks())
-        .filter(|&i| indegree[i] == 0)
-        .map(|i| key(TaskId(i)))
-        .collect();
-    let mut makespan = SimTime::ZERO;
-    while let Some((_, Reverse(task))) = ready.pop() {
-        let dev = assignment[task.0];
-        let (start, finish) = ctx.eft(task, dev)?;
-        ctx.place(task, dev, start, finish)?;
-        makespan = makespan.max(finish);
-        for s in wf.successor_tasks(task) {
-            indegree[s.0] -= 1;
-            if indegree[s.0] == 0 {
-                ready.push(key(s));
-            }
+/// What a decode committed: the order, and per task its step, the step
+/// it became ready at and its (device, start, finish).
+#[derive(Debug, Clone, Default)]
+struct Trace {
+    order: Vec<TaskId>,
+    pos: Vec<usize>,
+    ready_at: Vec<usize>,
+    slot: Vec<(DeviceId, SimTime, SimTime)>,
+}
+
+/// The search's decoder: the accepted state's trace and makespan, and
+/// the last evaluated candidate's. A candidate replays the accepted
+/// commits its move cannot change instead of re-deriving their EFTs.
+struct Decoder<'a> {
+    wf: &'a Workflow,
+    /// Built once per schedule; every decode resets it.
+    ctx: SchedContext<'a>,
+    accepted: Trace,
+    cost: f64,
+    /// The last candidate's trace, valid when `changed`.
+    candidate: Trace,
+    /// Whether the last candidate changed any accepted commit.
+    changed: bool,
+}
+
+impl<'a> Decoder<'a> {
+    /// Decodes the seed state in full and accepts it.
+    fn new(
+        wf: &'a Workflow,
+        platform: &'a Platform,
+        priority: &[f64],
+        assignment: &[DeviceId],
+    ) -> Result<Decoder<'a>, SchedError> {
+        let mut decoder = Decoder {
+            wf,
+            ctx: SchedContext::new(wf, platform, true)?,
+            accepted: Trace::default(),
+            cost: 0.0,
+            candidate: Trace::default(),
+            // The seed decode lands in `candidate`; `accept` swaps it in.
+            changed: true,
+        };
+        let cost = decoder.decode(priority, assignment, 0)?;
+        decoder.accept(cost);
+        Ok(decoder)
+    }
+
+    /// The makespan after one move on `task`: `priority` and `assignment`
+    /// hold the moved state, `old_priority` the task's accepted one. The
+    /// accepted commits before step `p` stay. A device move or a lowered
+    /// priority first matters at the task's own step. A raised priority
+    /// matters at the first step since the task became ready that
+    /// committed a key below its new one; without one, the task still
+    /// commits at its step, nothing changes and nothing is decoded.
+    fn evaluate(
+        &mut self,
+        priority: &[f64],
+        assignment: &[DeviceId],
+        task: TaskId,
+        old_priority: f64,
+        device_moved: bool,
+    ) -> Result<f64, SchedError> {
+        let (order, pos) = (&self.accepted.order, self.accepted.pos[task.0]);
+        let new = key(priority[task.0], task);
+        let p = match new.cmp(&key(old_priority, task)) {
+            _ if device_moved => pos,
+            Ordering::Less => pos,
+            Ordering::Equal => order.len(),
+            Ordering::Greater => (self.accepted.ready_at[task.0]..pos)
+                .find(|&k| key(priority[order[k].0], order[k]) < new)
+                .unwrap_or(order.len()),
+        };
+        self.changed = p < order.len();
+        if self.changed {
+            self.decode(priority, assignment, p)
+        } else {
+            Ok(self.cost)
         }
     }
-    // Exactly the tasks that never became ready are unplaced.
-    if let Some(i) = indegree.iter().position(|&d| d > 0) {
-        return Err(SchedError::Unscheduled(TaskId(i)));
+
+    /// Makes the last evaluated candidate, of makespan `cost`, the
+    /// accepted state.
+    fn accept(&mut self, cost: f64) {
+        if self.changed {
+            std::mem::swap(&mut self.accepted, &mut self.candidate);
+        }
+        self.cost = cost;
     }
-    Ok(makespan.saturating_since(SimTime::ZERO).as_secs())
+
+    /// Decodes (priority, assignment) into the context and the candidate
+    /// trace. The first `p` commits are replayed from the accepted trace
+    /// as plain placements; from step `p` on, the highest-priority ready
+    /// task is committed to its assigned device at its EFT. `p = 0` is
+    /// the full decode. Returns the makespan in seconds, as
+    /// [`Schedule::makespan`] would report it.
+    fn decode(
+        &mut self,
+        priority: &[f64],
+        assignment: &[DeviceId],
+        p: usize,
+    ) -> Result<f64, SchedError> {
+        let (wf, ctx, prev, out) = (self.wf, &mut self.ctx, &self.accepted, &mut self.candidate);
+        let n = wf.num_tasks();
+        ctx.reset();
+        out.order.clear();
+        out.pos.resize(n, 0);
+        out.ready_at.clear();
+        out.ready_at.resize(n, 0);
+        out.slot
+            .resize(n, (DeviceId(0), SimTime::ZERO, SimTime::ZERO));
+        let mut indegree: Vec<usize> = (0..n).map(|i| wf.predecessors(TaskId(i)).len()).collect();
+        let mut ready: BinaryHeap<Key> = BinaryHeap::new();
+        let mut makespan = SimTime::ZERO;
+        for step in 0..n {
+            let (task, dev, start, finish) = if step < p {
+                let task = prev.order[step];
+                let (dev, start, finish) = prev.slot[task.0];
+                (task, dev, start, finish)
+            } else {
+                if step == p {
+                    // The ready set after the replayed prefix.
+                    ready.extend(
+                        (0..n)
+                            .filter(|&i| indegree[i] == 0 && ctx.placement(TaskId(i)).is_none())
+                            .map(|i| key(priority[i], TaskId(i))),
+                    );
+                }
+                let Some((_, Reverse(task))) = ready.pop() else {
+                    break;
+                };
+                let dev = assignment[task.0];
+                let (start, finish) = ctx.eft(task, dev)?;
+                (task, dev, start, finish)
+            };
+            ctx.place(task, dev, start, finish)?;
+            out.order.push(task);
+            out.pos[task.0] = step;
+            out.slot[task.0] = (dev, start, finish);
+            makespan = makespan.max(finish);
+            for s in wf.successor_tasks(task) {
+                indegree[s.0] -= 1;
+                if indegree[s.0] == 0 {
+                    out.ready_at[s.0] = step + 1;
+                    if step >= p {
+                        ready.push(key(priority[s.0], s));
+                    }
+                }
+            }
+        }
+        // Exactly the tasks that never became ready are unplaced.
+        if let Some(i) = indegree.iter().position(|&d| d > 0) {
+            return Err(SchedError::Unscheduled(TaskId(i)));
+        }
+        Ok(makespan.saturating_since(SimTime::ZERO).as_secs())
+    }
 }
 
 impl Scheduler for AnnealingScheduler {
@@ -136,13 +257,12 @@ impl Scheduler for AnnealingScheduler {
         }
 
         let mut rng = SimRng::seed_from(self.seed);
-        let mut ctx = SchedContext::new(wf, platform, true)?;
-        let mut current_cost = decode(wf, &mut ctx, &priority, &assignment)?;
+        let mut decoder = Decoder::new(wf, platform, &priority, &assignment)?;
         // The best candidate becomes a `Schedule` once, after the search.
         let (mut best_priority, mut best_assignment) = (priority.clone(), assignment.clone());
-        let mut best_cost = current_cost;
+        let mut best_cost = decoder.cost;
 
-        let t0 = 0.05 * current_cost.max(1e-12);
+        let t0 = 0.05 * decoder.cost.max(1e-12);
         let cooling = if self.iterations > 1 {
             (1e-3f64).powf(1.0 / f64::from(self.iterations - 1))
         } else {
@@ -169,11 +289,12 @@ impl Scheduler for AnnealingScheduler {
                 priority[task.0] = (old_prio + rng.normal(0.0, 0.05 * priority_span)).max(0.0);
             }
 
-            let cost = decode(wf, &mut ctx, &priority, &assignment)?;
+            let current_cost = decoder.cost;
+            let cost = decoder.evaluate(&priority, &assignment, task, old_prio, move_device)?;
             let accept =
                 cost <= current_cost || rng.chance(((current_cost - cost) / temp).exp().min(1.0));
             if accept {
-                current_cost = cost;
+                decoder.accept(cost);
                 if cost < best_cost {
                     best_priority.clone_from(&priority);
                     best_assignment.clone_from(&assignment);
@@ -186,8 +307,8 @@ impl Scheduler for AnnealingScheduler {
             }
             temp *= cooling;
         }
-        decode(wf, &mut ctx, &best_priority, &best_assignment)?;
-        ctx.into_schedule()
+        decoder.decode(&best_priority, &best_assignment, 0)?;
+        decoder.ctx.into_schedule()
     }
 }
 
@@ -334,6 +455,108 @@ mod tests {
                             p.name()
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// One move of the differential test: raise, lower, or clamp a
+    /// priority to 0 (which leaves a zero priority unchanged), or move a
+    /// task to another feasible device.
+    #[derive(Debug, Clone, Copy)]
+    enum Move {
+        Device,
+        Raise,
+        Lower,
+        Clamp,
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random move sequences, each accepted or rejected: decoding a
+        /// candidate from the accepted trace's unchanged prefix gives the
+        /// makespan bits, placements and trace of a fresh full decode,
+        /// and a move judged to change nothing leaves a fresh decode's
+        /// commit order equal to the trace's.
+        #[test]
+        fn prefix_reuse_matches_a_full_decode(
+            family in 0usize..5,
+            preset in 0usize..4,
+            seed in 0u64..1_000,
+            moves in proptest::prop::collection::vec(0u64..u64::MAX, 1..80),
+        ) {
+            use helios_workflow::generators::WorkflowClass;
+            let platform = [
+                presets::workstation(),
+                presets::hpc_node(),
+                presets::cluster(4),
+                presets::edge_soc(),
+            ][preset]
+                .clone();
+            let wf = WorkflowClass::ALL[family].generate(30, seed).unwrap();
+            let Ok(heft) = HeftScheduler::default().schedule(&wf, &platform) else {
+                return; // infeasible pairing
+            };
+            let n = wf.num_tasks();
+            let mut assignment = vec![DeviceId(0); n];
+            for p in heft.placements() {
+                assignment[p.task.0] = p.device;
+            }
+            let mut priority = analysis::bottom_levels(&wf, &platform).unwrap();
+            let span = priority.iter().fold(0.0f64, |a, &b| a.max(b)).max(1e-12);
+
+            let mut decoder = Decoder::new(&wf, &platform, &priority, &assignment).unwrap();
+            for bits in moves {
+                // One draw per move: its kind, task, size and verdict.
+                let kind = [Move::Device, Move::Raise, Move::Lower, Move::Clamp][(bits % 4) as usize];
+                let pick = (bits >> 2) as usize % 1_000;
+                let magnitude = ((bits >> 12) % 3_000) as f64 / 1_000.0;
+                let accept = (bits >> 32) & 1 == 1;
+                // Clamps hit a few tasks, so some find their priority at 0.
+                let task = TaskId(if matches!(kind, Move::Clamp) { pick % 3 } else { pick % n });
+                let (old_dev, old_prio) = (assignment[task.0], priority[task.0]);
+                let step = span * 10f64.powf(-magnitude);
+                match kind {
+                    Move::Device => {
+                        let feasible: Vec<DeviceId> = platform
+                            .devices()
+                            .iter()
+                            .filter(|d| d.id() != old_dev && crate::placement_feasible(d, wf.task(task).unwrap()))
+                            .map(|d| d.id())
+                            .collect();
+                        let Some(&dev) = feasible.get(pick % feasible.len().max(1)) else {
+                            continue;
+                        };
+                        assignment[task.0] = dev;
+                    }
+                    Move::Raise => priority[task.0] = old_prio + step,
+                    Move::Lower => priority[task.0] = (old_prio - step).max(0.0),
+                    Move::Clamp => priority[task.0] = (old_prio - 2.0 * span).max(0.0),
+                }
+                let device_moved = matches!(kind, Move::Device);
+                let got = decoder
+                    .evaluate(&priority, &assignment, task, old_prio, device_moved)
+                    .unwrap();
+                let fresh = Decoder::new(&wf, &platform, &priority, &assignment).unwrap();
+                proptest::prop_assert_eq!(got.to_bits(), fresh.cost.to_bits());
+                // An unchanged move decodes nothing: the accepted trace
+                // must already be the fresh one.
+                let trace = if decoder.changed { &decoder.candidate } else { &decoder.accepted };
+                proptest::prop_assert_eq!(&trace.order, &fresh.accepted.order);
+                proptest::prop_assert_eq!(&trace.pos, &fresh.accepted.pos);
+                proptest::prop_assert_eq!(&trace.ready_at, &fresh.accepted.ready_at);
+                proptest::prop_assert_eq!(&trace.slot, &fresh.accepted.slot);
+                if decoder.changed {
+                    for t in (0..n).map(TaskId) {
+                        proptest::prop_assert_eq!(decoder.ctx.placement(t), fresh.ctx.placement(t));
+                    }
+                }
+                if accept {
+                    decoder.accept(got);
+                } else {
+                    assignment[task.0] = old_dev;
+                    priority[task.0] = old_prio;
                 }
             }
         }

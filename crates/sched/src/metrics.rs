@@ -1,6 +1,6 @@
 //! Schedule quality metrics and one-call evaluation summaries.
 
-pub use crate::schedule::{efficiency, slr, speedup};
+pub use crate::schedule::{critical_path_bound, efficiency, slr, slr_from_bound, speedup};
 
 use helios_platform::Platform;
 use helios_workflow::Workflow;

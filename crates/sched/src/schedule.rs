@@ -231,15 +231,33 @@ impl Schedule {
     }
 }
 
-/// Schedule length ratio: makespan divided by the sum of each
-/// critical-path task's *minimum* execution time across devices — the
-/// standard heterogeneous lower-bound normalization. Lower is better;
-/// 1.0 is the (usually unreachable) bound.
+/// Schedule length ratio: makespan divided by the
+/// [`critical_path_bound`] — the standard heterogeneous lower-bound
+/// normalization. Lower is better; 1.0 is the (usually unreachable)
+/// bound.
 ///
 /// # Errors
 ///
 /// Propagates platform and placement errors.
 pub fn slr(schedule: &Schedule, wf: &Workflow, platform: &Platform) -> Result<f64, SchedError> {
+    Ok(slr_from_bound(schedule, critical_path_bound(wf, platform)?))
+}
+
+/// [`slr`] given the workflow's [`critical_path_bound`] on the platform.
+#[must_use]
+pub fn slr_from_bound(schedule: &Schedule, bound: f64) -> f64 {
+    schedule.makespan().as_secs() / bound
+}
+
+/// The SLR denominator: the sum of each critical-path task's *minimum*
+/// execution time across devices. It depends only on the workflow and
+/// the platform, so a sweep computes it once for every scheduler.
+///
+/// # Errors
+///
+/// Propagates platform errors; returns [`SchedError::Internal`] when the
+/// bound is zero.
+pub fn critical_path_bound(wf: &Workflow, platform: &Platform) -> Result<f64, SchedError> {
     let (cp, _) = analysis::critical_path(wf, platform)?;
     let mut bound = 0.0;
     for t in cp {
@@ -261,7 +279,7 @@ pub fn slr(schedule: &Schedule, wf: &Workflow, platform: &Platform) -> Result<f6
             "critical-path lower bound is zero".into(),
         ));
     }
-    Ok(schedule.makespan().as_secs() / bound)
+    Ok(bound)
 }
 
 /// Speedup: the best single-device sequential execution time divided by
@@ -435,5 +453,65 @@ mod tests {
         assert!(sp > 0.0);
         let eff = efficiency(&s, &wf, &p).unwrap();
         assert!((0.0..=1.5).contains(&eff), "efficiency {eff}");
+    }
+
+    #[test]
+    fn slr_divides_the_makespan_by_the_critical_path_bound() {
+        use crate::{HeftScheduler, RoundRobinScheduler, Scheduler};
+        use helios_workflow::generators::WorkflowClass;
+        let platforms = [
+            presets::workstation(),
+            presets::hpc_node(),
+            presets::cluster(4),
+            presets::edge_soc(),
+        ];
+        let schedulers: [&dyn Scheduler; 2] =
+            [&HeftScheduler::default(), &RoundRobinScheduler::default()];
+        let mut checked = 0;
+        for class in WorkflowClass::ALL {
+            for p in &platforms {
+                for seed in 0..3 {
+                    let wf = class.generate(40, seed).unwrap();
+                    let bound = critical_path_bound(&wf, p).unwrap();
+                    for scheduler in schedulers {
+                        // Infeasible pairings (cybershake on edge_soc) have
+                        // no schedule to rate.
+                        let Ok(s) = scheduler.schedule(&wf, p) else {
+                            continue;
+                        };
+                        let want = s.makespan().as_secs() / bound;
+                        assert_eq!(slr(&s, &wf, p).unwrap().to_bits(), want.to_bits());
+                        assert_eq!(slr_from_bound(&s, bound).to_bits(), want.to_bits());
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 100, "only {checked} schedules rated");
+
+        // A zero-cost task on a CPU with no launch overhead: the bound is
+        // zero, and both paths fail with the same error.
+        use helios_platform::{DeviceBuilder, DeviceKind, PlatformBuilder};
+        let mut b = WorkflowBuilder::new("free");
+        b.add_task(Task::new(
+            "a",
+            "s",
+            ComputeCost::new(0.0, 0.0, KernelClass::Reduction),
+        ));
+        let wf = b.build().unwrap();
+        let mut pb = PlatformBuilder::new("free");
+        pb.add_device(
+            DeviceBuilder::new("cpu0", DeviceKind::Cpu)
+                .launch_overhead(SimDuration::ZERO)
+                .build()
+                .unwrap(),
+        );
+        let p = pb.build().unwrap();
+        let s = Schedule::new(vec![place(0, 0, 0.0, 1.0)]).unwrap();
+        let zero = Err(SchedError::Internal(
+            "critical-path lower bound is zero".into(),
+        ));
+        assert_eq!(critical_path_bound(&wf, &p), zero);
+        assert_eq!(slr(&s, &wf, &p), zero);
     }
 }

@@ -62,8 +62,17 @@ impl DeviceTimeline {
         if !insertion {
             return self.ready_time().max(ready);
         }
+        // Reservations are disjoint and sorted, so their finishes are
+        // sorted too; an interval finishing at or before `ready` leaves
+        // the candidate unchanged, so the scan starts past all of them.
+        // The binary search only runs when it can skip one: on short
+        // timelines probed early, it costs more than the scan it saves.
+        let first = match self.busy.first() {
+            Some(&(_, f)) if f <= ready => self.busy.partition_point(|&(_, f)| f <= ready),
+            _ => 0,
+        };
         let mut candidate = ready;
-        for &(start, finish) in &self.busy {
+        for &(start, finish) in &self.busy[first..] {
             if candidate + duration <= start {
                 return candidate;
             }
@@ -209,5 +218,68 @@ mod tests {
         assert_eq!(tl.busy_time(), d(0.0));
         // Another task can start at the same instant.
         assert_eq!(tl.earliest_start(t(1.0), d(1.0), true), t(1.0));
+    }
+
+    /// The earliest-start scan over every interval from the first: the
+    /// reference for [`DeviceTimeline::earliest_start`].
+    fn linear_earliest_start(
+        busy: &[(SimTime, SimTime)],
+        ready: SimTime,
+        duration: SimDuration,
+        insertion: bool,
+    ) -> SimTime {
+        if !insertion {
+            return busy.last().map_or(SimTime::ZERO, |&(_, f)| f).max(ready);
+        }
+        let mut candidate = ready;
+        for &(start, finish) in busy {
+            if candidate + duration <= start {
+                return candidate;
+            }
+            candidate = candidate.max(finish);
+        }
+        candidate
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random disjoint reservations on a half-second grid, zero-length
+        /// ones and shared endpoints included, probed with `ready` before,
+        /// inside, between and after them, zero and nonzero durations, and
+        /// insertion on and off.
+        #[test]
+        fn earliest_start_matches_a_linear_scan(
+            shapes in proptest::prop::collection::vec(0u64..16, 0..12),
+            probes in proptest::prop::collection::vec(0u64..u64::MAX, 1..24),
+        ) {
+            // Each shape is a (gap, length) pair in half seconds, 0 to 3.
+            let mut intervals = Vec::new();
+            let mut at = 0.0;
+            for shape in shapes {
+                let start = at + 0.5 * (shape % 4) as f64;
+                at = start + 0.5 * (shape / 4) as f64;
+                intervals.push((t(start), t(at)));
+            }
+            // Latest first: each reservation lands in front, so zero-length
+            // ones sharing a start are accepted.
+            let mut tl = DeviceTimeline::new();
+            for &(s, f) in intervals.iter().rev() {
+                tl.reserve(s, f);
+            }
+            proptest::prop_assert_eq!(tl.busy_intervals(), &intervals[..]);
+            // Quarter-second `ready` values land on endpoints, strictly
+            // inside intervals and gaps, and up to 2 s past the last one.
+            let quarters = (4.0 * at) as u64 + 8;
+            for probe in probes {
+                let ready = t(0.25 * (probe % quarters) as f64);
+                let duration = d(0.5 * ((probe >> 32) % 4) as f64);
+                let insertion = (probe >> 40) & 1 == 1;
+                proptest::prop_assert_eq!(
+                    tl.earliest_start(ready, duration, insertion),
+                    linear_earliest_start(&intervals, ready, duration, insertion)
+                );
+            }
+        }
     }
 }
