@@ -22,6 +22,9 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> perfbench's own tests (every workload at test scale)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> scheduler conformance battery"
 cargo test -q --test sched_conformance
 
@@ -88,6 +91,35 @@ for jobs in 1 2; do
     fi
 done
 echo "paper-grid report matches the pinned digest at --jobs 1 and 2"
+
+echo "==> query answers over the paper grid (pinned digest)"
+# The 10-query mix of perfbench's results_query workload plus a GROUP BY
+# over every cell, each rendered by `helios query --json` over the
+# paper-grid report the previous step wrote, must hash to the committed
+# digest. Query-evaluator changes claim identical answers, and this is
+# their gate.
+: > "$sweep_tmp/query_mix.json"
+while IFS= read -r q; do
+    "$helios" query "$q" --in "$sweep_tmp/paper_grid.json" --json >> "$sweep_tmp/query_mix.json"
+done << 'QUERIES'
+SELECT scheduler, count(*), avg_completed(makespan_secs) GROUP BY scheduler
+SELECT family, platform, avg_completed(slr), frac(completed) GROUP BY family, platform
+SELECT cell, makespan_secs WHERE completed = false
+SELECT family, min(slr), max(slr) GROUP BY family
+SELECT count(*)
+SELECT scheduler, sum(energy_j) WHERE platform = 'hpc_node' GROUP BY scheduler
+SELECT cell, family, slr WHERE slr > 4.5 AND completed = true
+SELECT platform, frac(completed) GROUP BY platform
+SELECT incomplete_reason, count(*) GROUP BY incomplete_reason
+SELECT scheduler, avg(transfers), max(failures) WHERE family = 'montage' GROUP BY scheduler
+SELECT cell, count(*) GROUP BY cell
+QUERIES
+query_digest=$(sha256sum "$sweep_tmp/query_mix.json" | cut -d' ' -f1)
+if [ "$query_digest" != "$(cat tests/fixtures/query_mix.sha256)" ]; then
+    echo "query-mix digest $query_digest differs from tests/fixtures/query_mix.sha256" >&2
+    exit 1
+fi
+echo "query answers match the pinned digest"
 
 echo "==> kill-and-resume smoke (resilient spec)"
 # A store sweep of the resilient spec is cut after one cell (test hook,

@@ -965,11 +965,11 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<SweepReport, EngineError> 
 /// completion probability instead. A row where *every* cell is
 /// incomplete carries `None` means: `0.0` would be indistinguishable
 /// from a genuinely instant run.
-/// Since PR 10 this is a group-by plan over the columnar executor
-/// pipeline — `SUMMARY_KEYS`/`SUMMARY_AGGREGATES` in
+/// This is one group-by pass of the store's query evaluator —
+/// `SUMMARY_KEYS`/`SUMMARY_AGGREGATES` in
 /// [`crate::store::schema`] are the single description of the keys,
 /// the aggregates and the null-mean rule, shared with `helios query`
-/// and the CLI printer. The plan accumulates sums in the same
+/// and the CLI printer. The pass accumulates sums in the same
 /// cell-sorted order as the original sequential loop, so its output is
 /// bit-identical.
 fn summarize(cells: &[CellResult]) -> Vec<SummaryRow> {

@@ -45,8 +45,8 @@
 //! * **columnar results and queries** — the [`store`] module holds the
 //!   sweep row schema exactly once: an append-friendly columnar
 //!   segment format the driver writes as cells finish, plus a
-//!   volcano-style executor pipeline (scan → filter → project →
-//!   aggregate) that `summarize`, `campaign merge` and the
+//!   single-pass evaluator over borrowed cells (filter, then project or
+//!   hash-grouped aggregate) that `summarize`, `campaign merge` and the
 //!   `helios query` expression language all compile onto,
 //! * **adversarial self-checking** — the [`fuzz`] harness generates
 //!   random campaign specs over the full knob space, checks each one

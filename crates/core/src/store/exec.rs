@@ -1,87 +1,26 @@
-//! The volcano-style executor pipeline over cell rows.
+//! The single-pass query evaluator over borrowed cells.
 //!
-//! Plans are trees of [`Executor`]s — scan → filter → project →
-//! aggregate/group-by — pulled one row at a time via `next()`, in the
-//! erdb planner/executors style. The same executors serve three
-//! callers: `summarize` (a fixed group-by plan, see
-//! [`summarize_cells`]), `campaign merge` (which recomputes the
-//! summary through that plan), and `helios query` (which compiles user
-//! expressions onto arbitrary plans). The sweep's aggregation math —
-//! first-seen group order, completed-only means, null means for groups
-//! with no completed cell — therefore exists exactly once, here.
+//! A query is one pass over `&CellResult`s: keep the cells every
+//! [`Predicate`] accepts, then either [`project`] them onto columns or
+//! [`aggregate`] them into groups. Every column read goes through
+//! [`cell_value`], which borrows strings from the cell, so the only
+//! owned [`Value`]s ever built are the output rows. Three callers share
+//! the pass: `summarize` (a fixed group-by, see [`summarize_cells`]),
+//! `campaign merge` (which recomputes the summary through it), and
+//! `helios query` (which compiles user expressions onto it). The
+//! sweep's aggregation math — first-seen group order, completed-only
+//! means, null means for groups with no completed cell — therefore
+//! exists exactly once, here.
+
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use crate::campaign::sweep::{CellResult, SummaryRow};
-use crate::EngineError;
 
 use super::schema::{
-    row_from_cell, schema_names, summary_row_from_values, Column, Row, SummaryAgg, Value,
+    cell_value, summary_row_from_values, Column, Row, SummaryAgg, Value, ValueRef,
     SUMMARY_AGGREGATES, SUMMARY_KEYS,
 };
-
-/// A pull-based plan node: yields rows one at a time, knows its output
-/// schema, and can restart from the first row.
-pub trait Executor {
-    /// The names of the columns this node emits, in row order.
-    fn schema(&self) -> &[String];
-    /// The next output row; `None` when exhausted. Errors are yielded
-    /// in-band so a consumer can stop at the first failure.
-    fn next(&mut self) -> Option<Result<Row, EngineError>>;
-    /// Restarts the node (and its inputs) from the first row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates input restart failures as [`EngineError`].
-    fn rewind(&mut self) -> Result<(), EngineError>;
-}
-
-impl std::fmt::Debug for dyn Executor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Executor({:?})", self.schema())
-    }
-}
-
-/// Leaf node: yields an in-memory row vector in order.
-#[derive(Debug)]
-pub struct ScanExec {
-    schema: Vec<String>,
-    rows: Vec<Row>,
-    at: usize,
-}
-
-impl ScanExec {
-    /// A scan over `rows`, all shaped by `schema`.
-    #[must_use]
-    pub fn new(schema: Vec<String>, rows: Vec<Row>) -> ScanExec {
-        ScanExec {
-            schema,
-            rows,
-            at: 0,
-        }
-    }
-
-    /// A full-schema scan over a slice of cells, in slice order.
-    #[must_use]
-    pub fn over_cells(cells: &[CellResult]) -> ScanExec {
-        ScanExec::new(schema_names(), cells.iter().map(row_from_cell).collect())
-    }
-}
-
-impl Executor for ScanExec {
-    fn schema(&self) -> &[String] {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Result<Row, EngineError>> {
-        let row = self.rows.get(self.at)?.clone();
-        self.at += 1;
-        Some(Ok(row))
-    }
-
-    fn rewind(&mut self) -> Result<(), EngineError> {
-        self.at = 0;
-        Ok(())
-    }
-}
 
 /// A comparison operator in a filter predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,8 +55,8 @@ pub enum Literal {
 /// One `column op literal` conjunct of a WHERE clause.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
-    /// Input-schema index of the column under test.
-    pub col: usize,
+    /// The column under test.
+    pub col: Column,
     /// The comparison.
     pub op: CmpOp,
     /// The right-hand literal.
@@ -125,149 +64,60 @@ pub struct Predicate {
 }
 
 impl Predicate {
-    /// Whether `row` satisfies this predicate. Type agreement is the
+    /// Whether `cell` satisfies this predicate. Type agreement is the
     /// planner's job; a value/literal mismatch that slips through
     /// compares as not-equal, never panics.
     #[must_use]
-    pub fn matches(&self, row: &[Value]) -> bool {
-        let value = &row[self.col];
-        match &self.literal {
-            Literal::Num(rhs) => match value.as_f64() {
-                Some(lhs) => match self.op {
-                    CmpOp::Eq => lhs == *rhs,
-                    CmpOp::Ne => lhs != *rhs,
-                    CmpOp::Lt => lhs < *rhs,
-                    CmpOp::Le => lhs <= *rhs,
-                    CmpOp::Gt => lhs > *rhs,
-                    CmpOp::Ge => lhs >= *rhs,
-                },
-                None => self.op == CmpOp::Ne,
-            },
-            Literal::Str(rhs) => {
-                let eq = matches!(value, Value::Str(v) if v == rhs);
-                match self.op {
-                    CmpOp::Eq => eq,
-                    _ => !eq,
+    pub fn matches(&self, cell: &CellResult) -> bool {
+        let value = cell_value(cell, self.col);
+        let rhs = match &self.literal {
+            Literal::Num(rhs) => {
+                return match value.as_f64() {
+                    Some(lhs) => match self.op {
+                        CmpOp::Eq => lhs == *rhs,
+                        CmpOp::Ne => lhs != *rhs,
+                        CmpOp::Lt => lhs < *rhs,
+                        CmpOp::Le => lhs <= *rhs,
+                        CmpOp::Gt => lhs > *rhs,
+                        CmpOp::Ge => lhs >= *rhs,
+                    },
+                    None => self.op == CmpOp::Ne,
                 }
             }
-            Literal::Bool(rhs) => {
-                let eq = matches!(value, Value::Bool(v) if v == rhs);
-                match self.op {
-                    CmpOp::Eq => eq,
-                    _ => !eq,
-                }
-            }
-            Literal::Null => {
-                let is_null = matches!(value, Value::Null);
-                match self.op {
-                    CmpOp::Eq => is_null,
-                    _ => !is_null,
-                }
-            }
-        }
-    }
-}
-
-/// Yields the input rows that satisfy every predicate (AND semantics).
-#[derive(Debug)]
-pub struct FilterExec {
-    input: Box<dyn Executor>,
-    predicates: Vec<Predicate>,
-}
-
-impl FilterExec {
-    /// Filters `input` by the conjunction of `predicates`.
-    #[must_use]
-    pub fn new(input: Box<dyn Executor>, predicates: Vec<Predicate>) -> FilterExec {
-        FilterExec { input, predicates }
-    }
-}
-
-impl Executor for FilterExec {
-    fn schema(&self) -> &[String] {
-        self.input.schema()
-    }
-
-    fn next(&mut self) -> Option<Result<Row, EngineError>> {
-        loop {
-            let row = match self.input.next()? {
-                Ok(row) => row,
-                Err(e) => return Some(Err(e)),
-            };
-            if self.predicates.iter().all(|p| p.matches(&row)) {
-                return Some(Ok(row));
-            }
-        }
-    }
-
-    fn rewind(&mut self) -> Result<(), EngineError> {
-        self.input.rewind()
-    }
-}
-
-/// Reorders/narrows the input to the given column indices.
-#[derive(Debug)]
-pub struct ProjectExec {
-    input: Box<dyn Executor>,
-    indices: Vec<usize>,
-    schema: Vec<String>,
-}
-
-impl ProjectExec {
-    /// Projects `input` to `indices`, naming the outputs `names`.
-    #[must_use]
-    pub fn new(input: Box<dyn Executor>, indices: Vec<usize>, names: Vec<String>) -> ProjectExec {
-        ProjectExec {
-            input,
-            indices,
-            schema: names,
-        }
-    }
-}
-
-impl Executor for ProjectExec {
-    fn schema(&self) -> &[String] {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Result<Row, EngineError>> {
-        let row = match self.input.next()? {
-            Ok(row) => row,
-            Err(e) => return Some(Err(e)),
+            Literal::Str(rhs) => ValueRef::Str(rhs),
+            Literal::Bool(rhs) => ValueRef::Bool(*rhs),
+            Literal::Null => ValueRef::Null,
         };
-        Some(Ok(self.indices.iter().map(|&i| row[i].clone()).collect()))
-    }
-
-    fn rewind(&mut self) -> Result<(), EngineError> {
-        self.input.rewind()
+        // Non-numeric columns only compare for (in)equality.
+        (value == rhs) == (self.op == CmpOp::Eq)
     }
 }
 
-/// An aggregation over one input column (or the whole row for
-/// [`Agg::CountStar`]), by input-schema index.
+/// An aggregation over one column (or the whole row for
+/// [`Agg::CountStar`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Agg {
     /// Row count of the group.
     CountStar,
     /// Sum of a numeric column; null over zero rows.
-    Sum(usize),
+    Sum(Column),
     /// Mean of a numeric column; null over zero rows.
-    Avg(usize),
+    Avg(Column),
     /// Minimum of a numeric column; null over zero rows.
-    Min(usize),
+    Min(Column),
     /// Maximum of a numeric column; null over zero rows.
-    Max(usize),
+    Max(Column),
     /// Mean of `metric` over rows where the boolean `completed`
     /// column is true; null when none are — the sweep's null-mean
     /// semantics.
     AvgCompleted {
         /// The numeric column being averaged.
-        metric: usize,
+        metric: Column,
         /// The boolean column gating contribution.
-        completed: usize,
+        completed: Column,
     },
     /// Fraction of the group's rows where the boolean column is true.
-    CompletedFrac(usize),
+    CompletedFrac(Column),
 }
 
 /// A running accumulator for one [`Agg`] in one group. Sums are added
@@ -283,22 +133,20 @@ struct Accum {
 }
 
 impl Accum {
-    fn new() -> Accum {
-        Accum {
-            sum: 0.0,
-            n: 0,
-            rows: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
+    const NEW: Accum = Accum {
+        sum: 0.0,
+        n: 0,
+        rows: 0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
 
-    fn feed(&mut self, agg: Agg, row: &[Value]) {
+    fn feed(&mut self, agg: Agg, cell: &CellResult) {
         self.rows += 1;
         match agg {
             Agg::CountStar => {}
             Agg::Sum(col) | Agg::Avg(col) | Agg::Min(col) | Agg::Max(col) => {
-                if let Some(v) = row[col].as_f64() {
+                if let Some(v) = cell_value(cell, col).as_f64() {
                     self.sum += v;
                     self.n += 1;
                     self.min = self.min.min(v);
@@ -306,15 +154,15 @@ impl Accum {
                 }
             }
             Agg::AvgCompleted { metric, completed } => {
-                if matches!(row[completed], Value::Bool(true)) {
-                    if let Some(v) = row[metric].as_f64() {
+                if cell_value(cell, completed) == ValueRef::Bool(true) {
+                    if let Some(v) = cell_value(cell, metric).as_f64() {
                         self.sum += v;
                         self.n += 1;
                     }
                 }
             }
             Agg::CompletedFrac(col) => {
-                if matches!(row[col], Value::Bool(true)) {
+                if cell_value(cell, col) == ValueRef::Bool(true) {
                     self.n += 1;
                 }
             }
@@ -322,37 +170,19 @@ impl Accum {
     }
 
     fn finish(&self, agg: Agg) -> Value {
-        let mean = || {
+        let some = |v: f64| {
             if self.n > 0 {
-                Value::F64(self.sum / self.n as f64)
+                Value::F64(v)
             } else {
                 Value::Null
             }
         };
         match agg {
             Agg::CountStar => Value::U64(self.rows),
-            Agg::Sum(_) => {
-                if self.n > 0 {
-                    Value::F64(self.sum)
-                } else {
-                    Value::Null
-                }
-            }
-            Agg::Avg(_) | Agg::AvgCompleted { .. } => mean(),
-            Agg::Min(_) => {
-                if self.n > 0 {
-                    Value::F64(self.min)
-                } else {
-                    Value::Null
-                }
-            }
-            Agg::Max(_) => {
-                if self.n > 0 {
-                    Value::F64(self.max)
-                } else {
-                    Value::Null
-                }
-            }
+            Agg::Sum(_) => some(self.sum),
+            Agg::Avg(_) | Agg::AvgCompleted { .. } => some(self.sum / self.n as f64),
+            Agg::Min(_) => some(self.min),
+            Agg::Max(_) => some(self.max),
             Agg::CompletedFrac(_) => {
                 if self.rows > 0 {
                     Value::F64(self.n as f64 / self.rows as f64)
@@ -364,157 +194,150 @@ impl Accum {
     }
 }
 
-/// Group-by + aggregate node. Output rows are the group-key values
-/// followed by one value per aggregate; groups appear in first-seen
-/// input order (the sweep's spec-declaration order, since cell rows
-/// arrive sorted by index). With no group keys it emits exactly one
-/// global row, even over empty input.
-#[derive(Debug)]
-pub struct AggregateExec {
-    input: Box<dyn Executor>,
-    keys: Vec<usize>,
-    aggs: Vec<Agg>,
-    schema: Vec<String>,
-    groups: Option<Vec<Row>>,
-    at: usize,
+/// Projects each cell onto `cols`, as owned rows in input order.
+#[must_use]
+pub fn project<'a>(cells: impl IntoIterator<Item = &'a CellResult>, cols: &[Column]) -> Vec<Row> {
+    cells
+        .into_iter()
+        .map(|cell| {
+            cols.iter()
+                .map(|&c| cell_value(cell, c).to_value())
+                .collect()
+        })
+        .collect()
 }
 
-impl AggregateExec {
-    /// Groups `input` by the `keys` columns and computes `aggs`;
-    /// `names` is the full output schema (key names then agg names).
-    #[must_use]
-    pub fn new(
-        input: Box<dyn Executor>,
-        keys: Vec<usize>,
-        aggs: Vec<Agg>,
-        names: Vec<String>,
-    ) -> AggregateExec {
-        AggregateExec {
-            input,
-            keys,
-            aggs,
-            schema: names,
-            groups: None,
-            at: 0,
-        }
-    }
+/// One component of a group key in the hashed group index. Equality
+/// is `Value ==`: ±0.0 are equal (and hash alike), NaN equals nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct KeyPart<'a>(ValueRef<'a>);
 
-    fn compute(&mut self) -> Result<Vec<Row>, EngineError> {
-        let mut group_keys: Vec<Vec<Value>> = Vec::new();
-        let mut accums: Vec<Vec<Accum>> = Vec::new();
-        while let Some(row) = self.input.next() {
-            let row = row?;
-            let key: Vec<Value> = self.keys.iter().map(|&i| row[i].clone()).collect();
-            let at = match group_keys.iter().position(|k| *k == key) {
-                Some(at) => at,
-                None => {
-                    group_keys.push(key);
-                    accums.push(vec![Accum::new(); self.aggs.len()]);
-                    group_keys.len() - 1
-                }
-            };
-            for (accum, &agg) in accums[at].iter_mut().zip(&self.aggs) {
-                accum.feed(agg, &row);
-            }
-        }
-        if group_keys.is_empty() && self.keys.is_empty() {
-            // A global aggregate always has one row: count 0, null
-            // everything else.
-            group_keys.push(Vec::new());
-            accums.push(vec![Accum::new(); self.aggs.len()]);
-        }
-        Ok(group_keys
-            .into_iter()
-            .zip(accums)
-            .map(|(mut key, accum)| {
-                key.extend(accum.iter().zip(&self.aggs).map(|(a, &agg)| a.finish(agg)));
-                key
-            })
-            .collect())
-    }
-
-    fn materialized(&mut self) -> Result<&Vec<Row>, EngineError> {
-        if self.groups.is_none() {
-            self.groups = Some(self.compute()?);
-        }
-        Ok(self.groups.as_ref().expect("just materialized"))
+impl KeyPart<'_> {
+    fn is_nan(&self) -> bool {
+        matches!(self.0, ValueRef::F64(v) if v.is_nan())
     }
 }
 
-impl Executor for AggregateExec {
-    fn schema(&self) -> &[String] {
-        &self.schema
-    }
+/// `==` is reflexive on every key the index holds: a key with a NaN
+/// component never enters it.
+impl Eq for KeyPart<'_> {}
 
-    fn next(&mut self) -> Option<Result<Row, EngineError>> {
-        let at = self.at;
-        let row = match self.materialized() {
-            Ok(groups) => groups.get(at)?.clone(),
-            Err(e) => return Some(Err(e)),
+impl Hash for KeyPart<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self.0 {
+            ValueRef::U64(v) => v.hash(state),
+            ValueRef::U32(v) => v.hash(state),
+            ValueRef::F64(v) => (if v == 0.0 { 0 } else { v.to_bits() }).hash(state),
+            ValueRef::Bool(v) => v.hash(state),
+            ValueRef::Str(v) => v.hash(state),
+            ValueRef::Null => {}
+        }
+    }
+}
+
+/// Groups `cells` by the `keys` columns and computes `aggs` in one
+/// pass. Output rows are the group-key values followed by one value
+/// per aggregate.
+///
+/// Groups appear in first-seen input order (the sweep's
+/// spec-declaration order, since cells arrive sorted by index), and a
+/// group prints the key values it was first seen with. Key equality is
+/// `Value ==`: `-0.0` and `0.0` are one group, and a key holding a NaN
+/// matches nothing, so each such row opens a group of its own. A row
+/// tries the previous row's group first, then a hash index from key to
+/// group slot. Accumulators are fed in input order, so float sums are
+/// bit-identical to a sequential loop. With no keys the result is
+/// exactly one global row, even over no cells.
+#[must_use]
+pub fn aggregate<'a>(
+    cells: impl IntoIterator<Item = &'a CellResult>,
+    keys: &[Column],
+    aggs: &[Agg],
+) -> Vec<Row> {
+    // Group g's key is group_keys[g * keys.len()..][..keys.len()] and its
+    // accumulators accums[g * aggs.len()..][..aggs.len()].
+    let mut group_keys: Vec<KeyPart<'a>> = Vec::new();
+    let mut accums: Vec<Accum> = Vec::new();
+    let mut index: HashMap<Vec<KeyPart<'a>>, usize> = HashMap::new();
+    let mut groups = 0;
+    let mut last: Option<usize> = None;
+    let mut key: Vec<KeyPart<'a>> = Vec::with_capacity(keys.len());
+    for cell in cells {
+        // Equal keys come in runs (cells arrive in expansion order), so
+        // the previous row's group is tried before the index.
+        let same_as = |g: usize| {
+            let stored = &group_keys[g * keys.len()..][..keys.len()];
+            keys.iter()
+                .zip(stored)
+                .all(|(&c, k)| cell_value(cell, c) == k.0)
         };
-        self.at += 1;
-        Some(Ok(row))
+        let g = match last.filter(|&g| same_as(g)) {
+            Some(g) => g,
+            None => {
+                key.clear();
+                key.extend(keys.iter().map(|&c| KeyPart(cell_value(cell, c))));
+                match index.get(&key) {
+                    Some(&g) => g,
+                    None => {
+                        if !key.iter().any(KeyPart::is_nan) {
+                            index.insert(key.clone(), groups);
+                        }
+                        group_keys.extend_from_slice(&key);
+                        accums.extend(aggs.iter().map(|_| Accum::NEW));
+                        groups += 1;
+                        groups - 1
+                    }
+                }
+            }
+        };
+        last = Some(g);
+        for (accum, &agg) in accums[g * aggs.len()..][..aggs.len()].iter_mut().zip(aggs) {
+            accum.feed(agg, cell);
+        }
     }
-
-    fn rewind(&mut self) -> Result<(), EngineError> {
-        self.input.rewind()?;
-        self.groups = None;
-        self.at = 0;
-        Ok(())
+    if groups == 0 && keys.is_empty() {
+        // A global aggregate always has one row: count 0, null
+        // everything else.
+        groups = 1;
+        accums.extend(aggs.iter().map(|_| Accum::NEW));
     }
-}
-
-/// Drains an executor into a row vector, stopping at the first error.
-///
-/// # Errors
-///
-/// The first in-band error the plan yields.
-pub fn collect(exec: &mut dyn Executor) -> Result<Vec<Row>, EngineError> {
-    let mut out = Vec::new();
-    while let Some(row) = exec.next() {
-        out.push(row?);
-    }
-    Ok(out)
+    (0..groups)
+        .map(|g| {
+            let key = group_keys[g * keys.len()..][..keys.len()].iter();
+            let accum = accums[g * aggs.len()..][..aggs.len()].iter();
+            key.map(|k| k.0.to_value())
+                .chain(accum.zip(aggs).map(|(a, &agg)| a.finish(agg)))
+                .collect()
+        })
+        .collect()
 }
 
 fn summary_agg(agg: SummaryAgg) -> Agg {
     match agg {
         SummaryAgg::Count => Agg::CountStar,
         SummaryAgg::MeanCompleted(col) => Agg::AvgCompleted {
-            metric: col.index(),
-            completed: Column::Completed.index(),
+            metric: col,
+            completed: Column::Completed,
         },
-        SummaryAgg::CompletedFraction => Agg::CompletedFrac(Column::Completed.index()),
+        SummaryAgg::CompletedFraction => Agg::CompletedFrac(Column::Completed),
     }
 }
 
-/// The sweep summary as a pipeline plan: scan the cells, group by
+/// The sweep summary as one aggregation pass: group the cells by
 /// `SUMMARY_KEYS`, compute `SUMMARY_AGGREGATES`. This *is* the
 /// `summarize` every caller (merge, sweep reports, the CLI, `helios
 /// query`) shares; its output is field-for-field the legacy
 /// sequential loop.
 #[must_use]
 pub fn summarize_cells(cells: &[CellResult]) -> Vec<SummaryRow> {
-    let scan = ScanExec::over_cells(cells);
-    let keys: Vec<usize> = SUMMARY_KEYS.iter().map(|&(c, _)| c.index()).collect();
-    let aggs: Vec<Agg> = SUMMARY_AGGREGATES
+    let keys = SUMMARY_KEYS.map(|(c, _)| c);
+    let aggs = SUMMARY_AGGREGATES.map(|c| summary_agg(c.agg));
+    aggregate(cells, &keys, &aggs)
         .iter()
-        .map(|c| summary_agg(c.agg))
-        .collect();
-    let names: Vec<String> = SUMMARY_KEYS
-        .iter()
-        .map(|&(c, _)| c.name().to_owned())
-        .chain(SUMMARY_AGGREGATES.iter().map(|c| c.name.to_owned()))
-        .collect();
-    let mut plan = AggregateExec::new(Box::new(scan), keys, aggs, names);
-    let mut out = Vec::new();
-    while let Some(row) = plan.next() {
-        let row = row.expect("in-memory summary scan cannot fail");
-        out.push(
-            summary_row_from_values(&row).expect("the summary plan emits summary-shaped rows"),
-        );
-    }
-    out
+        .map(|row| {
+            summary_row_from_values(row).expect("the summary pass emits summary-shaped rows")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -557,26 +380,23 @@ mod tests {
 
     #[test]
     fn filter_project_pipeline_selects_rows() {
-        let cells = vec![
+        let cells = [
             cell(0, "heft", true, 4.0),
             cell(1, "olb", true, 9.0),
             cell(2, "heft", false, 5.0),
         ];
-        let scan = ScanExec::over_cells(&cells);
-        let filter = FilterExec::new(
-            Box::new(scan),
-            vec![Predicate {
-                col: Column::Scheduler.index(),
-                op: CmpOp::Eq,
-                literal: Literal::Str("heft".into()),
-            }],
-        );
-        let mut plan = ProjectExec::new(
-            Box::new(filter),
-            vec![Column::Cell.index(), Column::MakespanSecs.index()],
-            vec!["cell".into(), "makespan_secs".into()],
-        );
-        let rows = collect(&mut plan).unwrap();
+        let filter = Predicate {
+            col: Column::Scheduler,
+            op: CmpOp::Eq,
+            literal: Literal::Str("heft".into()),
+        };
+        let plan = || {
+            project(
+                cells.iter().filter(|c| filter.matches(c)),
+                &[Column::Cell, Column::MakespanSecs],
+            )
+        };
+        let rows = plan();
         assert_eq!(
             rows,
             vec![
@@ -584,43 +404,38 @@ mod tests {
                 vec![Value::U64(2), Value::F64(5.0)],
             ]
         );
-        plan.rewind().unwrap();
-        assert_eq!(collect(&mut plan).unwrap().len(), 2);
+        // The pass borrows its input, so running it again is a rewind.
+        assert_eq!(plan().len(), 2);
     }
 
     #[test]
     fn predicates_cover_ordering_strings_bools_and_null() {
         let cells = [cell(0, "heft", true, 4.0), cell(1, "olb", false, 9.0)];
-        let rows: Vec<Row> = cells.iter().map(row_from_cell).collect();
-        let pred = |col: Column, op, literal| Predicate {
-            col: col.index(),
-            op,
-            literal,
-        };
-        assert!(pred(Column::MakespanSecs, CmpOp::Lt, Literal::Num(5.0)).matches(&rows[0]));
-        assert!(!pred(Column::MakespanSecs, CmpOp::Ge, Literal::Num(5.0)).matches(&rows[0]));
-        assert!(pred(Column::Completed, CmpOp::Eq, Literal::Bool(true)).matches(&rows[0]));
-        assert!(pred(Column::IncompleteReason, CmpOp::Eq, Literal::Null).matches(&rows[0]));
-        assert!(!pred(Column::IncompleteReason, CmpOp::Eq, Literal::Null).matches(&rows[1]));
+        let pred = |col: Column, op, literal| Predicate { col, op, literal };
+        assert!(pred(Column::MakespanSecs, CmpOp::Lt, Literal::Num(5.0)).matches(&cells[0]));
+        assert!(!pred(Column::MakespanSecs, CmpOp::Ge, Literal::Num(5.0)).matches(&cells[0]));
+        assert!(pred(Column::Completed, CmpOp::Eq, Literal::Bool(true)).matches(&cells[0]));
+        assert!(pred(Column::IncompleteReason, CmpOp::Eq, Literal::Null).matches(&cells[0]));
+        assert!(!pred(Column::IncompleteReason, CmpOp::Eq, Literal::Null).matches(&cells[1]));
         assert!(pred(
             Column::IncompleteReason,
             CmpOp::Eq,
             Literal::Str("lost_workload".into())
         )
-        .matches(&rows[1]));
+        .matches(&cells[1]));
         // A null value never equals a string literal, and != is true.
         assert!(!pred(
             Column::IncompleteReason,
             CmpOp::Eq,
             Literal::Str("lost_workload".into())
         )
-        .matches(&rows[0]));
+        .matches(&cells[0]));
         assert!(pred(
             Column::IncompleteReason,
             CmpOp::Ne,
             Literal::Str("lost_workload".into())
         )
-        .matches(&rows[0]));
+        .matches(&cells[0]));
     }
 
     #[test]
@@ -652,32 +467,56 @@ mod tests {
 
     #[test]
     fn global_aggregate_emits_one_row_even_when_empty() {
-        let scan = ScanExec::over_cells(&[]);
-        let mut plan = AggregateExec::new(
-            Box::new(scan),
-            vec![],
-            vec![Agg::CountStar, Agg::Avg(Column::MakespanSecs.index())],
-            vec!["count(*)".into(), "avg(makespan_secs)".into()],
-        );
-        let rows = collect(&mut plan).unwrap();
+        let rows = aggregate(&[], &[], &[Agg::CountStar, Agg::Avg(Column::MakespanSecs)]);
         assert_eq!(rows, vec![vec![Value::U64(0), Value::Null]]);
     }
 
     #[test]
     fn min_max_sum_cover_numeric_columns() {
-        let cells = vec![cell(0, "heft", true, 4.0), cell(1, "heft", true, 9.0)];
-        let scan = ScanExec::over_cells(&cells);
-        let m = Column::MakespanSecs.index();
-        let mut plan = AggregateExec::new(
-            Box::new(scan),
-            vec![],
-            vec![Agg::Min(m), Agg::Max(m), Agg::Sum(m)],
-            vec!["min".into(), "max".into(), "sum".into()],
-        );
-        let rows = collect(&mut plan).unwrap();
+        let cells = [cell(0, "heft", true, 4.0), cell(1, "heft", true, 9.0)];
+        let m = Column::MakespanSecs;
+        let rows = aggregate(&cells, &[], &[Agg::Min(m), Agg::Max(m), Agg::Sum(m)]);
         assert_eq!(
             rows,
             vec![vec![Value::F64(4.0), Value::F64(9.0), Value::F64(13.0)]]
+        );
+    }
+
+    #[test]
+    fn group_keys_follow_value_equality() {
+        // ±0.0 share one group printed as first seen; NaN keys never
+        // match, so each NaN row is a group of its own.
+        let cells: Vec<CellResult> = [0.0, 1.0, f64::NAN, -0.0, f64::NAN, 1.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| cell(i, "heft", true, m))
+            .collect();
+        let rows = aggregate(&cells, &[Column::MakespanSecs], &[Agg::CountStar]);
+        let keys: Vec<u64> = rows
+            .iter()
+            .map(|r| match r[0] {
+                Value::F64(v) => v.to_bits(),
+                _ => unreachable!(),
+            })
+            .collect();
+        let counts: Vec<&Value> = rows.iter().map(|r| &r[1]).collect();
+        assert_eq!(
+            keys,
+            vec![
+                0.0f64.to_bits(),
+                1.0f64.to_bits(),
+                f64::NAN.to_bits(),
+                f64::NAN.to_bits()
+            ]
+        );
+        assert_eq!(
+            counts,
+            vec![
+                &Value::U64(2),
+                &Value::U64(2),
+                &Value::U64(1),
+                &Value::U64(1)
+            ]
         );
     }
 }

@@ -1,6 +1,6 @@
 //! The `helios query` expression language.
 //!
-//! A tiny SQL subset compiled onto the executor pipeline:
+//! A tiny SQL subset evaluated in one pass over borrowed cells:
 //!
 //! ```text
 //! SELECT proj [, proj]*
@@ -26,11 +26,8 @@ use crate::campaign::sweep::CellResult;
 use crate::campaign::CampaignError;
 use crate::EngineError;
 
-use super::exec::{
-    collect, Agg, AggregateExec, CmpOp, Executor, FilterExec, Literal, Predicate, ProjectExec,
-    ScanExec,
-};
-use super::schema::{schema_names, Column, ColumnType, Row};
+use super::exec::{aggregate, project, Agg, CmpOp, Literal, Predicate};
+use super::schema::{row_from_cell, schema_names, Column, ColumnType, Row};
 
 fn err(token: &str, detail: impl Into<String>) -> EngineError {
     CampaignError::InvalidQuery {
@@ -124,8 +121,11 @@ fn tokenize(expr: &str) -> Result<Vec<Token>, EngineError> {
                 _ => None,
             };
             let Some(punct) = punct else {
+                // `i` is always on a char boundary: every byte consumed
+                // so far was ASCII or inside a quoted string.
+                let ch: String = expr[i..].chars().take(1).collect();
                 return Err(err(
-                    &expr[i..i + 1],
+                    &ch,
                     "unexpected character; expected a column, keyword, operator, or literal",
                 ));
             };
@@ -202,7 +202,7 @@ impl Proj {
     }
 }
 
-/// A parsed, validated query, ready to plan onto the executors.
+/// A parsed, validated query, ready to evaluate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     projections: Vec<Proj>,
@@ -416,11 +416,7 @@ impl Parser {
                 format!("column {:?} supports only = and !=", col.name()),
             ));
         }
-        Ok(Predicate {
-            col: col.index(),
-            op,
-            literal,
-        })
+        Ok(Predicate { col, op, literal })
     }
 }
 
@@ -518,92 +514,84 @@ pub struct QueryOutput {
 fn to_agg(func: AggFunc, arg: Option<Column>) -> Agg {
     match (func, arg) {
         (AggFunc::Count, _) => Agg::CountStar,
-        (AggFunc::Sum, Some(c)) => Agg::Sum(c.index()),
-        (AggFunc::Avg, Some(c)) => Agg::Avg(c.index()),
-        (AggFunc::Min, Some(c)) => Agg::Min(c.index()),
-        (AggFunc::Max, Some(c)) => Agg::Max(c.index()),
+        (AggFunc::Sum, Some(c)) => Agg::Sum(c),
+        (AggFunc::Avg, Some(c)) => Agg::Avg(c),
+        (AggFunc::Min, Some(c)) => Agg::Min(c),
+        (AggFunc::Max, Some(c)) => Agg::Max(c),
         (AggFunc::AvgCompleted, Some(c)) => Agg::AvgCompleted {
-            metric: c.index(),
-            completed: Column::Completed.index(),
+            metric: c,
+            completed: Column::Completed,
         },
-        (AggFunc::Frac, Some(c)) => Agg::CompletedFrac(c.index()),
+        (AggFunc::Frac, Some(c)) => Agg::CompletedFrac(c),
         // The parser never emits a non-count aggregate without an arg.
         (_, None) => Agg::CountStar,
     }
 }
 
-/// Compiles `expr` onto the executor pipeline and runs it over
-/// `cells`. Rows are scanned in cell-index order regardless of input
-/// order, so results are deterministic across shard layouts.
+/// Parses `expr` and evaluates it over `cells` in one pass: sort,
+/// filter, then project or aggregate. Cells are visited in cell-index
+/// order regardless of input order (a stable sort, so duplicate
+/// indices keep their input order), and results are deterministic
+/// across shard layouts.
 ///
 /// # Errors
 ///
-/// [`CampaignError::InvalidQuery`] for parse/plan failures; plan
-/// execution over in-memory cells cannot fail.
+/// [`CampaignError::InvalidQuery`] for parse/plan failures; evaluation
+/// over in-memory cells cannot fail.
 pub fn run_query(expr: &str, cells: &[CellResult]) -> Result<QueryOutput, EngineError> {
     let plan = parse_query(expr)?;
-    let mut sorted: Vec<CellResult> = cells.to_vec();
+    let mut sorted: Vec<&CellResult> = cells.iter().collect();
     sorted.sort_by_key(|c| c.cell);
-
-    let scan = ScanExec::over_cells(&sorted);
-    let mut node: Box<dyn Executor> = Box::new(scan);
-    if !plan.predicates.is_empty() {
-        node = Box::new(FilterExec::new(node, plan.predicates.clone()));
-    }
-
-    let has_agg = plan
-        .projections
-        .iter()
-        .any(|p| matches!(p, Proj::Agg { .. }));
-    let mut exec: Box<dyn Executor> = if has_agg {
-        let keys: Vec<usize> = plan.group_by.iter().map(|c| c.index()).collect();
-        let mut agg_list: Vec<Agg> = Vec::new();
-        let mut names: Vec<String> = plan.group_by.iter().map(|c| c.name().to_owned()).collect();
-        let mut indices: Vec<usize> = Vec::new();
-        let mut out_names: Vec<String> = Vec::new();
-        for proj in &plan.projections {
-            match proj {
-                Proj::Col { col, .. } => {
-                    let at = plan
-                        .group_by
-                        .iter()
-                        .position(|g| g == col)
-                        .expect("validated: selected column is a group key");
-                    indices.push(at);
-                    out_names.push(proj.output_name());
-                }
-                Proj::Agg { func, arg, .. } => {
-                    indices.push(keys.len() + agg_list.len());
-                    agg_list.push(to_agg(*func, *arg));
-                    out_names.push(proj.output_name());
-                }
-                Proj::Star => unreachable!("validated: * never reaches an aggregate plan"),
-            }
-        }
-        names.extend(out_names.iter().cloned());
-        let agg = AggregateExec::new(node, keys, agg_list, names);
-        Box::new(ProjectExec::new(Box::new(agg), indices, out_names))
-    } else if plan.projections == [Proj::Star] {
-        // SELECT *: the full schema passes through unchanged.
-        node
-    } else {
-        let mut indices = Vec::new();
-        let mut out_names = Vec::new();
-        for proj in &plan.projections {
-            if let Proj::Col { col, .. } = proj {
-                indices.push(col.index());
-                out_names.push(proj.output_name());
-            }
-        }
-        Box::new(ProjectExec::new(node, indices, out_names))
-    };
+    let kept = sorted
+        .into_iter()
+        .filter(|c| plan.predicates.iter().all(|p| p.matches(c)));
 
     let schema = if plan.projections == [Proj::Star] {
         schema_names()
     } else {
-        exec.schema().to_vec()
+        plan.projections.iter().map(Proj::output_name).collect()
     };
-    let rows = collect(exec.as_mut())?;
+    let has_agg = plan
+        .projections
+        .iter()
+        .any(|p| matches!(p, Proj::Agg { .. }));
+    let rows = if has_agg {
+        // Aggregate rows are the group keys then the aggregates; pick
+        // each projection's slot from them in SELECT order.
+        let mut aggs: Vec<Agg> = Vec::new();
+        let mut slots: Vec<usize> = Vec::new();
+        for proj in &plan.projections {
+            match proj {
+                Proj::Col { col, .. } => slots.push(
+                    plan.group_by
+                        .iter()
+                        .position(|g| g == col)
+                        .expect("validated: selected column is a group key"),
+                ),
+                Proj::Agg { func, arg, .. } => {
+                    slots.push(plan.group_by.len() + aggs.len());
+                    aggs.push(to_agg(*func, *arg));
+                }
+                Proj::Star => unreachable!("validated: * never reaches an aggregate plan"),
+            }
+        }
+        aggregate(kept, &plan.group_by, &aggs)
+            .into_iter()
+            .map(|row| slots.iter().map(|&i| row[i].clone()).collect())
+            .collect()
+    } else if plan.projections == [Proj::Star] {
+        kept.map(row_from_cell).collect()
+    } else {
+        let cols: Vec<Column> = plan
+            .projections
+            .iter()
+            .filter_map(|p| match p {
+                Proj::Col { col, .. } => Some(*col),
+                _ => None,
+            })
+            .collect();
+        project(kept, &cols)
+    };
     Ok(QueryOutput { schema, rows })
 }
 

@@ -2,14 +2,14 @@
 //!
 //! [`Column`] enumerates every field of a [`CellResult`] in declaration
 //! (= serialization) order; everything that consumes cell rows — the
-//! segment codec, the executor pipeline, the query planner, the summary
+//! segment codec, the query evaluator, the query planner, the summary
 //! aggregation and the CLI printer — derives its column list from this
 //! enum instead of hand-maintaining its own. The bridges
-//! [`row_from_cell`] / [`cell_from_row`] and [`summary_row_values`] /
-//! [`summary_row_from_values`] destructure or construct the structs
-//! field by field with no `..` rest pattern, so adding a sweep field
-//! without teaching the schema about it is a compile error, not a
-//! silently dropped column.
+//! [`row_from_cell`] / [`cell_value`] / [`cell_from_row`] and
+//! [`summary_row_values`] / [`summary_row_from_values`] destructure or
+//! construct the structs field by field with no `..` rest pattern, so
+//! adding a sweep field without teaching the schema about it is a
+//! compile error, not a silently dropped column.
 
 use crate::campaign::sweep::{CellResult, SummaryRow};
 use crate::EngineError;
@@ -88,7 +88,7 @@ pub enum ColumnType {
 
 impl Column {
     /// Every column, in [`CellResult`] field order — the canonical
-    /// schema of store segments and scan executors.
+    /// schema of store segments and of `SELECT *`.
     pub const ALL: [Column; 25] = [
         Column::Cell,
         Column::Family,
@@ -192,13 +192,13 @@ impl Column {
     }
 }
 
-/// The schema's column names in order — the `schema()` of a full scan.
+/// The schema's column names in order — the schema of `SELECT *`.
 #[must_use]
 pub fn schema_names() -> Vec<String> {
     Column::ALL.iter().map(|c| c.name().to_owned()).collect()
 }
 
-/// One cell value flowing through the executor pipeline.
+/// One owned value of a query output row or a store row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Unsigned 64-bit integer.
@@ -216,21 +216,116 @@ pub enum Value {
     Null,
 }
 
-impl Value {
+/// One row of values: a full-schema store row, or a query output row.
+pub type Row = Vec<Value>;
+
+/// One cell value borrowed from its [`CellResult`] — what the query
+/// evaluator reads. Strings stay borrowed; only output rows become
+/// owned [`Value`]s.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// Unsigned 64-bit integer.
+    U64(u64),
+    /// Unsigned 32-bit integer.
+    U32(u32),
+    /// IEEE double.
+    F64(f64),
+    /// Boolean.
+    Bool(bool),
+    /// UTF-8 string, borrowed from the cell.
+    Str(&'a str),
+    /// Absent value (a null `incomplete_reason`).
+    Null,
+}
+
+impl ValueRef<'_> {
     /// The value as an `f64` when it is numeric; `None` otherwise.
     #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
+    pub fn as_f64(self) -> Option<f64> {
         match self {
-            Value::U64(v) => Some(*v as f64),
-            Value::U32(v) => Some(f64::from(*v)),
-            Value::F64(v) => Some(*v),
+            ValueRef::U64(v) => Some(v as f64),
+            ValueRef::U32(v) => Some(f64::from(v)),
+            ValueRef::F64(v) => Some(v),
             _ => None,
+        }
+    }
+
+    /// The owned [`Value`] of an output row.
+    #[must_use]
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::U64(v) => Value::U64(v),
+            ValueRef::U32(v) => Value::U32(v),
+            ValueRef::F64(v) => Value::F64(v),
+            ValueRef::Bool(v) => Value::Bool(v),
+            ValueRef::Str(v) => Value::Str(v.to_owned()),
+            ValueRef::Null => Value::Null,
         }
     }
 }
 
-/// One row of the pipeline: one [`Value`] per schema column.
-pub type Row = Vec<Value>;
+/// Column `col` of `cell`, borrowed. The exhaustive destructuring (no
+/// `..`) is deliberate: a new sweep field fails to compile here until
+/// the schema learns its column.
+#[must_use]
+pub fn cell_value(cell: &CellResult, col: Column) -> ValueRef<'_> {
+    let CellResult {
+        cell,
+        family,
+        platform,
+        scheduler,
+        seed,
+        makespan_secs,
+        slr,
+        energy_j,
+        transfers,
+        transfer_bytes,
+        failures,
+        retries,
+        completed,
+        wasted_work_secs,
+        recovery_overhead_secs,
+        makespan_degradation,
+        reroutes,
+        partition_downtime_secs,
+        rematerialized_tasks,
+        rematerialized_bytes,
+        incomplete_reason,
+        capacity_secs,
+        preemptions,
+        drain_migrated_tasks,
+        join_utilization,
+    } = cell;
+    match col {
+        Column::Cell => ValueRef::U64(*cell as u64),
+        Column::Family => ValueRef::Str(family),
+        Column::Platform => ValueRef::Str(platform),
+        Column::Scheduler => ValueRef::Str(scheduler),
+        Column::Seed => ValueRef::U64(*seed),
+        Column::MakespanSecs => ValueRef::F64(*makespan_secs),
+        Column::Slr => ValueRef::F64(*slr),
+        Column::EnergyJ => ValueRef::F64(*energy_j),
+        Column::Transfers => ValueRef::U64(*transfers as u64),
+        Column::TransferBytes => ValueRef::F64(*transfer_bytes),
+        Column::Failures => ValueRef::U32(*failures),
+        Column::Retries => ValueRef::U32(*retries),
+        Column::Completed => ValueRef::Bool(*completed),
+        Column::WastedWorkSecs => ValueRef::F64(*wasted_work_secs),
+        Column::RecoveryOverheadSecs => ValueRef::F64(*recovery_overhead_secs),
+        Column::MakespanDegradation => ValueRef::F64(*makespan_degradation),
+        Column::Reroutes => ValueRef::U32(*reroutes),
+        Column::PartitionDowntimeSecs => ValueRef::F64(*partition_downtime_secs),
+        Column::RematerializedTasks => ValueRef::U32(*rematerialized_tasks),
+        Column::RematerializedBytes => ValueRef::F64(*rematerialized_bytes),
+        Column::IncompleteReason => incomplete_reason
+            .as_deref()
+            .map_or(ValueRef::Null, ValueRef::Str),
+        Column::CapacitySecs => ValueRef::F64(*capacity_secs),
+        Column::Preemptions => ValueRef::U32(*preemptions),
+        Column::DrainMigratedTasks => ValueRef::U32(*drain_migrated_tasks),
+        Column::JoinUtilization => ValueRef::F64(*join_utilization),
+    }
+}
 
 /// Converts a [`CellResult`] into a full-schema row. The exhaustive
 /// destructuring (no `..`) is deliberate: a new sweep field fails to
@@ -501,7 +596,7 @@ pub fn summary_row_values(row: &SummaryRow) -> Vec<Value> {
 
 /// Rebuilds a [`SummaryRow`] from values in `SUMMARY_KEYS ++
 /// SUMMARY_AGGREGATES` order — the inverse of [`summary_row_values`],
-/// and the bridge the group-by plan uses to emit summary rows.
+/// and the bridge the summary aggregation uses to emit summary rows.
 ///
 /// # Errors
 ///

@@ -253,7 +253,7 @@ fn corruptions(bad: &str, poison: f64) -> Vec<Corruption> {
 
 /// One query corruption class: a label, the corrupted expression, and
 /// the exact token the typed error must name.
-fn query_corruptions(bad: &str) -> Vec<(&'static str, String, String)> {
+fn query_corruptions(bad: &str, wide: &str) -> Vec<(&'static str, String, String)> {
     vec![
         (
             "unknown projected column",
@@ -327,6 +327,21 @@ fn query_corruptions(bad: &str) -> Vec<(&'static str, String, String)> {
         ),
         ("empty expression", String::new(), String::new()),
         ("unknown verb", format!("{bad} *"), bad.to_owned()),
+        (
+            "non-ASCII character as a projection",
+            format!("SELECT {wide}"),
+            wide.to_owned(),
+        ),
+        (
+            "non-ASCII character as a literal",
+            format!("SELECT cell WHERE family = {wide}"),
+            wide.to_owned(),
+        ),
+        (
+            "non-ASCII character after a numeric literal",
+            format!("SELECT cell WHERE cell = 1{wide}"),
+            wide.to_owned(),
+        ),
     ]
 }
 
@@ -334,6 +349,40 @@ fn query_corruptions(bad: &str) -> Vec<(&'static str, String, String)> {
 /// the proptest-drawn tag. Curated to collide with nothing legal: not a
 /// column, not an aggregate function, not a keyword.
 const QUERY_BAD: [&str; 5] = ["frobnicate", "median", "makespanx", "cellz", "zz_quux"];
+
+/// Multi-byte characters outside the query alphabet (2, 3, 4, 3 and 2
+/// UTF-8 bytes); indexed by the same tag as [`QUERY_BAD`]. The error
+/// must name the whole character.
+const QUERY_WIDE: [&str; 5] = ["é", "€", "😀", "中", "ß"];
+
+/// Fragments arbitrary query text is assembled from, `|`-separated:
+/// grammar tokens (so cases get past the tokenizer), separators,
+/// quotes, numeric prefixes and non-ASCII text.
+const QUERY_PIECES: &str = "SELECT|select|WHERE|AND|GROUP|BY|AS|*|,|(|)|=|!=|<|<=|>|>=|'|'heft'|\
+    count|avg_completed|frac|min|cell|makespan_secs|completed|incomplete_reason|null|true|\
+    1|-0|1e|-| |é|\u{0}";
+
+/// A few valid cells for arbitrary query text to run over, so accepted
+/// queries are evaluated too.
+fn query_cells() -> Vec<helios_core::CellResult> {
+    use helios_core::store::{cell_from_row, Column, ColumnType, Value};
+    (0..3u64)
+        .map(|i| {
+            let row: Vec<Value> = Column::ALL
+                .iter()
+                .map(|&col| match col.column_type() {
+                    ColumnType::U64 => Value::U64(i),
+                    ColumnType::U32 => Value::U32(1),
+                    ColumnType::F64 => Value::F64(if i == 1 { f64::NAN } else { 0.5 }),
+                    ColumnType::Bool => Value::Bool(i != 2),
+                    ColumnType::Str => Value::Str("heft".into()),
+                    ColumnType::OptStr => Value::Null,
+                })
+                .collect();
+            cell_from_row(&row).expect("schema-shaped row")
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(BAD_NAMES.len() as u32))]
@@ -378,7 +427,7 @@ proptest! {
     fn malformed_queries_fail_typed_and_name_the_token(tag in 0usize..QUERY_BAD.len()) {
         let bad = QUERY_BAD[tag];
         prop_assert!(helios_core::store::Column::by_name(bad).is_none());
-        for (label, expr, want) in query_corruptions(bad) {
+        for (label, expr, want) in query_corruptions(bad, QUERY_WIDE[tag]) {
             let err = match run_query(&expr, &[]) {
                 Err(e) => e,
                 Ok(_) => panic!("{label}: corrupted query was accepted: {expr:?}"),
@@ -398,6 +447,32 @@ proptest! {
                 "{}: message is not the typed rendering: {msg}",
                 label
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary query text — grammar fragments and arbitrary Unicode
+    /// scalar values in any order — is either answered or refused with
+    /// a typed [`InvalidQuery`], never a panic.
+    #[test]
+    fn arbitrary_query_text_never_panics(
+        items in prop::collection::vec(0u64..u64::MAX, 0..24),
+    ) {
+        let pieces: Vec<&str> = QUERY_PIECES.split('|').collect();
+        let mut text = String::new();
+        for item in items {
+            if item % 3 == 0 {
+                text.extend(char::from_u32(((item >> 2) % 0x11_0000) as u32));
+            } else {
+                text.push_str(pieces[((item >> 2) % pieces.len() as u64) as usize]);
+            }
+        }
+        match run_query(&text, &query_cells()) {
+            Ok(_) | Err(EngineError::Campaign(CampaignError::InvalidQuery { .. })) => {}
+            Err(other) => panic!("query {text:?} failed with an untyped error: {other:?}"),
         }
     }
 }
