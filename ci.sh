@@ -58,6 +58,24 @@ if [ "$runner_lines" -gt 1000 ]; then
 fi
 echo "$runner: $runner_lines lines (limit 1000)"
 
+echo "==> panic-site ratchet (core and CLI non-test code)"
+# Counts unwrap(/expect(/panic!/unreachable! in the non-test code of
+# crates/core and crates/cli: the lines of each source file above its
+# first #[cfg(test)], *_tests.rs files and comment lines excluded. Every
+# site is a way for hostile input to end in a signal instead of a typed
+# error, so the count may only fall: lower tests/fixtures/panic_sites.max
+# with the change that removes sites, never raise it.
+panic_sites=$(find crates/core/src crates/cli/src -name '*.rs' ! -name '*_tests.rs' \
+    -exec awk '/#\[cfg\(test\)\]/ { nextfile } !/^[[:space:]]*\/\// { print }' {} + |
+    grep -oE 'unwrap\(|expect\(|panic!|unreachable!' | wc -l | tr -d ' ')
+panic_max=$(cat tests/fixtures/panic_sites.max)
+if [ "$panic_sites" -gt "$panic_max" ]; then
+    echo "$panic_sites panic sites in core/CLI non-test code (ratchet: $panic_max);" \
+        "return a typed error instead" >&2
+    exit 1
+fi
+echo "panic sites: $panic_sites (ratchet: $panic_max)"
+
 echo "==> sharded sweep byte-identity smoke"
 # The release binary sweeps the committed smoke spec unsharded, then as
 # a 2-shard partition recombined by `campaign merge`; the two reports
@@ -91,6 +109,22 @@ for jobs in 1 2; do
     fi
 done
 echo "paper-grid report matches the pinned digest at --jobs 1 and 2"
+
+echo "==> flat-retry fault report bytes (pinned digest)"
+# The spec-file `faults` knob (flat retry, noisy cells, some of them
+# running out of retries) through the release binary: the --out report
+# must hash to the committed digest. Changes to the fault configuration
+# or the per-attempt occupancy math claim byte-identity, and this is
+# their end-to-end gate.
+"$helios" campaign run --spec examples/specs/faults_smoke.json \
+    --out "$sweep_tmp/faults_smoke.json" > /dev/null
+faults_digest=$(sha256sum "$sweep_tmp/faults_smoke.json" | cut -d' ' -f1)
+if [ "$faults_digest" != "$(cat tests/fixtures/faults_smoke_report.sha256)" ]; then
+    echo "faults-smoke report digest $faults_digest differs from" \
+        "tests/fixtures/faults_smoke_report.sha256" >&2
+    exit 1
+fi
+echo "faults-smoke report matches the pinned digest"
 
 echo "==> query answers over the paper grid (pinned digest)"
 # The 10-query mix of perfbench's results_query workload plus a GROUP BY
@@ -301,33 +335,6 @@ gq='SELECT scheduler, count(*), avg_completed(makespan_secs), frac(completed) GR
 "$helios" query "$gq" --in "$sweep_tmp/full.json" --json > "$sweep_tmp/q_json.json"
 cmp "$sweep_tmp/q_store.json" "$sweep_tmp/q_json.json"
 echo "store merge and GROUP BY query are byte-identical to the JSON path"
-
-echo "==> perf-trajectory smoke"
-# Reduced-iteration run of the pinned benchmark harness: verifies the
-# harness executes and emits well-formed JSON with both series, without
-# spending full-run wall clock. Committed BENCH_<PR>.json files must
-# come from a full (non-smoke) run; the bench crate's test suite checks
-# the committed file carries both series.
-target/release/perf_trajectory --smoke --out "$sweep_tmp/bench_smoke.json"
-for series in paper_grid_cells_per_sec paper_grid_journal_cells_per_sec \
-    merge_rows_per_sec synthetic_dag_steps_per_sec; do
-    if ! grep -q "\"$series\"" "$sweep_tmp/bench_smoke.json"; then
-        echo "bench smoke output is missing the $series series" >&2
-        exit 1
-    fi
-done
-# Numeric sort on the PR number: lexical `ls | tail -1` would pick
-# BENCH_9 over BENCH_10.
-bench_committed=$(ls BENCH_*.json 2> /dev/null | sort -t_ -k2 -n | tail -1)
-if [ -z "$bench_committed" ]; then
-    echo "no committed BENCH_*.json trajectory file found" >&2
-    exit 1
-fi
-if grep -q '"smoke": true' "$bench_committed"; then
-    echo "$bench_committed was generated with --smoke; commit a full run" >&2
-    exit 1
-fi
-echo "bench harness OK; committed trajectory: $bench_committed"
 
 echo "==> cargo fmt --check"
 cargo fmt --check

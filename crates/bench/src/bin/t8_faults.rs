@@ -21,12 +21,11 @@
 
 use helios_bench::{print_header, Agg};
 use helios_core::{
-    CheckpointConfig, Engine, EngineConfig, EngineError, FailureDomain, FailureModel, FaultConfig,
-    LinkFaultModel, RecoveryPolicy, ResilienceConfig, ResilientRunner,
+    Engine, EngineConfig, EngineError, FailureDomain, FailureModel, LinkFaultModel, RecoveryPolicy,
+    ResilienceConfig, ResilientRunner,
 };
 use helios_platform::presets;
 use helios_sched::{HeftScheduler, Scheduler};
-use helios_sim::SimDuration;
 use helios_workflow::generators::cybershake;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -67,21 +66,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             for seed in seeds.clone() {
                 let wf = cybershake(500, seed)?;
                 let plan = HeftScheduler::default().schedule(&wf, &platform)?;
-                let mut config = EngineConfig {
+                let mut resilience = ResilienceConfig::flat_retry(mtbf, 0.005, 10_000_000);
+                if ckpt {
+                    resilience.policy = RecoveryPolicy::CheckpointRestart {
+                        interval_secs: 0.01,
+                        overhead_secs: 5e-4,
+                        max_retries: 10_000_000,
+                    };
+                }
+                let config = EngineConfig {
                     seed,
-                    faults: Some(FaultConfig::new(
-                        mtbf,
-                        SimDuration::from_secs(0.005),
-                        10_000_000,
-                    )?),
+                    resilience: Some(resilience),
                     ..Default::default()
                 };
-                if ckpt {
-                    config.checkpointing = Some(CheckpointConfig::new(
-                        SimDuration::from_secs(0.01),
-                        SimDuration::from_secs(5e-4),
-                    )?);
-                }
                 let report = Engine::new(config).execute_plan(&platform, &wf, &plan)?;
                 makespan.push(report.makespan().as_secs());
                 failures.push(f64::from(report.failures()));

@@ -100,10 +100,6 @@ impl Agg {
     }
 }
 
-/// The number `<n>` of the committed `BENCH_<n>.json` perf trajectory
-/// that `perf_trajectory` writes and the bench tests check.
-pub const TRAJECTORY_PR: u32 = 10;
-
 /// The default seed sweep used by every stochastic experiment.
 #[must_use]
 pub fn seeds(n: u64) -> std::ops::Range<u64> {

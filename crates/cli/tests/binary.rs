@@ -245,6 +245,34 @@ fn malformed_spec_file_is_a_hard_error() {
     assert!(stderr.contains("malformed campaign spec"), "{stderr}");
 }
 
+/// 200,000 unclosed `[` in every JSON input the CLI reads: each must
+/// end in the typed JSON error (exit 1) naming the parser's nesting
+/// limit, not in a stack overflow that kills the process by signal.
+#[test]
+fn deeply_nested_json_inputs_are_typed_errors() {
+    let dir = std::env::temp_dir().join("helios-bin-deepjson");
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let deep = deep.to_str().unwrap();
+
+    for argv in [
+        vec!["campaign", "run", "--spec", deep],
+        vec!["query", "SELECT count(*)", "--in", deep],
+        vec!["campaign", "merge", "--in", deep],
+        vec!["run", "--workflow", deep],
+        vec!["analyze", "--workflow", deep],
+    ] {
+        let out = helios().args(&argv).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(
+            stderr.contains("recursion limit exceeded"),
+            "{argv:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn empty_sweep_grid_is_a_hard_error() {
     let dir = std::env::temp_dir().join("helios-bin-emptyspec");

@@ -92,8 +92,8 @@ impl<'de> Deserialize<'de> for DvfsKnob {
     }
 }
 
-/// Fault-injection knobs of a spec, mirroring
-/// [`FaultConfig`](crate::FaultConfig).
+/// Fault-injection knobs of a spec: flat retry on the plain engine, which
+/// each cell lowers to [`ResilienceConfig::flat_retry`](crate::ResilienceConfig::flat_retry).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultKnob {
     /// Mean time between failures per device, seconds.

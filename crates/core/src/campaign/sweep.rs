@@ -24,7 +24,6 @@ use helios_platform::{presets, Platform};
 use helios_sched::{
     metrics, AnnealingScheduler, LookaheadScheduler, Placement, SchedError, Schedule, Scheduler,
 };
-use helios_sim::SimDuration;
 use helios_workflow::Workflow;
 
 use super::spec::{family_class, CampaignSpec, DvfsKnob, SweepCell};
@@ -32,7 +31,7 @@ use super::{CampaignEngine, CampaignError};
 use crate::exec::IncompleteReason;
 use crate::resilience::ResilientRunner;
 use crate::store::{recover_store, StoreHeader, StoreSalvage, StoreWriter};
-use crate::{Engine, EngineConfig, EngineError, FaultConfig};
+use crate::{Engine, EngineConfig, EngineError, ResilienceConfig};
 
 /// One shard of a partition: `index` of `count`, 1-based.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -676,29 +675,30 @@ fn run_cell(
         Entry::Vacant(e) => Arc::clone(e.insert(Arc::new(class.generate(spec.tasks, cell.seed)?))),
     };
 
-    let faults = match &spec.faults {
-        None => None,
-        Some(fk) => Some(FaultConfig::new(
-            fk.mtbf_secs,
-            SimDuration::from_secs(fk.restart_overhead_secs),
-            fk.max_retries,
-        )?),
-    };
     // Elastic cells always run through the resilient runner: departures
-    // feed its recovery machinery. A spec with capacity events but no
-    // `resilience` block gets a benign stack — failures effectively
-    // never fire, departures recover through flat retry.
+    // feed its recovery machinery. Without a `resilience` block they get
+    // a benign stack: an astronomical MTBF, and flat retry with a
+    // generous budget for work lost to departures. The `faults` knob is
+    // flat retry on the plain engine, which attaches no resilience
+    // metrics.
     let elasticity = spec.elasticity_config()?;
-    let mut resilience = spec.resilience_config()?;
-    if elasticity.is_some() && resilience.is_none() {
-        resilience = Some(benign_resilience());
-    }
+    let resilient = spec.resilience.is_some() || elasticity.is_some();
+    let resilience = if let Some(fk) = &spec.faults {
+        Some(ResilienceConfig::flat_retry(
+            fk.mtbf_secs,
+            fk.restart_overhead_secs,
+            fk.max_retries,
+        ))
+    } else if elasticity.is_some() && spec.resilience.is_none() {
+        Some(ResilienceConfig::flat_retry(1e12, 0.0, 100))
+    } else {
+        spec.resilience_config()?
+    };
     let config = EngineConfig {
         seed: cell.seed,
         noise_cv: spec.noise_cv,
         link_contention: spec.link_contention,
         data_caching: spec.data_caching,
-        faults,
         resilience,
         elasticity,
         step_budget: cell_step_budget(spec)?,
@@ -707,7 +707,6 @@ fn run_cell(
 
     let mut result = blank_result(cell);
 
-    let resilient = config.resilience.is_some();
     // Planning and execution share one error funnel: an infeasible
     // family × platform pairing fails in `schedule`, everything else in
     // the runner, and both must become measurements when classifiable.
@@ -801,31 +800,6 @@ fn blank_result(cell: &SweepCell) -> CellResult {
         drain_migrated_tasks: 0,
         join_utilization: 0.0,
     }
-}
-
-/// The resilience stack backing elastic cells of a spec without a
-/// `resilience` block: an astronomical MTTF keeps the failure machinery
-/// quiet, and flat retry with a generous budget recovers work lost to
-/// departures.
-fn benign_resilience() -> crate::resilience::ResilienceConfig {
-    use crate::resilience::{FailureModel, RecoveryPolicy, ResilienceConfig};
-    ResilienceConfig::new(
-        FailureModel {
-            mttf_secs: 1e12,
-            weibull_shape: None,
-            degraded_prob: 0.0,
-            permanent_prob: 0.0,
-            degraded_slowdown: 2.0,
-            degraded_repair_secs: 1.0,
-            restart_overhead_secs: 0.0,
-        },
-        RecoveryPolicy::RetryBackoff {
-            base_secs: 0.0,
-            factor: 2.0,
-            cap_secs: 0.0,
-            max_retries: 100,
-        },
-    )
 }
 
 /// The per-cell simulated-event watchdog budget: the

@@ -6,123 +6,6 @@ use crate::elastic::ElasticityConfig;
 use crate::error::EngineError;
 use crate::resilience::{RecoveryPolicy, ResilienceConfig};
 
-/// Backoff delay before retry `retry` (1-based): capped exponential
-/// `min(base · factor^(retry-1), cap)`, zero when `base` is zero (the
-/// classical flat retry).
-pub(crate) fn backoff_delay_secs(base: f64, factor: f64, cap: f64, retry: u32) -> f64 {
-    if base == 0.0 {
-        0.0
-    } else {
-        (base * factor.powi(retry.saturating_sub(1) as i32)).min(cap)
-    }
-}
-
-/// Device fault injection: each device fails as a Poisson process with
-/// the given mean time between failures; a failure aborts the task
-/// executing at that moment (idle devices shrug failures off).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultConfig {
-    /// Mean time between failures per device, seconds (the default for
-    /// devices without an override).
-    pub mtbf_secs: f64,
-    /// Fixed recovery/restart overhead paid before a retry begins.
-    pub restart_overhead: SimDuration,
-    /// Retry budget per task; exceeding it aborts the run.
-    pub max_retries: u32,
-    /// Optional per-device MTBF overrides, indexed by device id; `None`
-    /// entries fall back to [`FaultConfig::mtbf_secs`]. Lets flaky
-    /// accelerators coexist with dependable hosts, matching the rate
-    /// vectors of
-    /// [`helios_sched::reliability`](../helios_sched/reliability/index.html).
-    pub per_device_mtbf: Option<Vec<Option<f64>>>,
-}
-
-impl FaultConfig {
-    /// Creates a fault model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Config`] for a non-positive MTBF.
-    pub fn new(
-        mtbf_secs: f64,
-        restart_overhead: SimDuration,
-        max_retries: u32,
-    ) -> Result<FaultConfig, EngineError> {
-        if !(mtbf_secs.is_finite() && mtbf_secs > 0.0) {
-            return Err(EngineError::Config(format!(
-                "mtbf_secs must be positive, got {mtbf_secs}"
-            )));
-        }
-        Ok(FaultConfig {
-            mtbf_secs,
-            restart_overhead,
-            max_retries,
-            per_device_mtbf: None,
-        })
-    }
-
-    /// Sets per-device MTBF overrides.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Config`] if any override is non-positive.
-    pub fn with_per_device_mtbf(
-        mut self,
-        overrides: Vec<Option<f64>>,
-    ) -> Result<FaultConfig, EngineError> {
-        for (i, o) in overrides.iter().enumerate() {
-            if let Some(m) = o {
-                if !(m.is_finite() && *m > 0.0) {
-                    return Err(EngineError::Config(format!(
-                        "per_device_mtbf[{i}] must be positive, got {m}"
-                    )));
-                }
-            }
-        }
-        self.per_device_mtbf = Some(overrides);
-        Ok(self)
-    }
-
-    /// The effective MTBF for device `device_id`.
-    #[must_use]
-    pub fn mtbf_for(&self, device_id: usize) -> f64 {
-        self.per_device_mtbf
-            .as_ref()
-            .and_then(|v| v.get(device_id).copied().flatten())
-            .unwrap_or(self.mtbf_secs)
-    }
-}
-
-/// Checkpointing: tasks snapshot their progress every `interval`; a
-/// retry resumes from the last snapshot instead of from scratch, at the
-/// cost of `overhead` added per completed checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CheckpointConfig {
-    /// Time between snapshots, in task-execution seconds.
-    pub interval: SimDuration,
-    /// Cost of writing one snapshot.
-    pub overhead: SimDuration,
-}
-
-impl CheckpointConfig {
-    /// Creates a checkpoint policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Config`] for a zero interval.
-    pub fn new(
-        interval: SimDuration,
-        overhead: SimDuration,
-    ) -> Result<CheckpointConfig, EngineError> {
-        if interval.as_secs() <= 0.0 {
-            return Err(EngineError::Config(
-                "checkpoint interval must be positive".into(),
-            ));
-        }
-        Ok(CheckpointConfig { interval, overhead })
-    }
-}
-
 /// Complete engine configuration.
 ///
 /// The default is the *ideal* execution: no noise, no faults, no link
@@ -148,22 +31,17 @@ pub struct EngineConfig {
     /// makes every task on that device take twice its modeled time.
     /// Planners and dispatchers do not see these — only execution does.
     pub device_slowdown: Option<Vec<f64>>,
-    /// Fault injection, if any.
-    pub faults: Option<FaultConfig>,
-    /// Checkpoint/restart policy, if any (only meaningful with faults).
-    pub checkpointing: Option<CheckpointConfig>,
     /// Record an execution trace (task spans + transfer spans) in the
     /// report, exportable to Chrome trace JSON.
     pub tracing: bool,
-    /// Failure model plus recovery policy. Mutually exclusive with the
-    /// legacy [`EngineConfig::faults`]/[`EngineConfig::checkpointing`]
-    /// pair, which it generalizes. The
+    /// Failure model plus recovery policy, if any. The
     /// [`ResilientRunner`](crate::ResilientRunner) supports every
-    /// policy; [`Engine`](crate::Engine) and
-    /// [`OnlineRunner`](crate::OnlineRunner) accept the subset that maps
-    /// onto their per-attempt occupancy model (exponential
-    /// transient-only failures under retry-backoff or
-    /// checkpoint-restart).
+    /// policy; [`Engine`](crate::Engine),
+    /// [`OnlineRunner`](crate::OnlineRunner) and
+    /// [`EnsembleRunner`](crate::EnsembleRunner) accept the subset that
+    /// maps onto their per-attempt occupancy model: exponential
+    /// transient-only failures under retry-backoff (flat retry is
+    /// [`ResilienceConfig::flat_retry`]) or checkpoint-restart.
     pub resilience: Option<ResilienceConfig>,
     /// Elastic capacity plan: timed join/drain/preempt/leave events
     /// plus stochastic spot churn
@@ -181,16 +59,19 @@ pub struct EngineConfig {
     pub step_budget: Option<u64>,
 }
 
-/// The fault parameters [`Engine`](crate::Engine) and
-/// [`OnlineRunner`](crate::OnlineRunner) actually execute with, resolved
-/// from either the legacy `faults`/`checkpointing` pair or a compatible
-/// [`ResilienceConfig`].
-#[derive(Debug, Clone, Default)]
+/// A [`ResilienceConfig`] resolved onto the per-attempt occupancy model
+/// of the plain, online and ensemble executors.
+#[derive(Debug, Clone)]
 pub(crate) struct FaultView {
-    pub faults: Option<FaultConfig>,
-    pub checkpointing: Option<CheckpointConfig>,
-    /// `(base_secs, factor, cap_secs)` of a retry backoff, if any.
-    pub backoff: Option<(f64, f64, f64)>,
+    /// Mean time between failures per device, seconds.
+    pub mtbf_secs: f64,
+    /// Fixed restart overhead paid before every retry.
+    pub restart_overhead: SimDuration,
+    /// `(interval, overhead)` of checkpoint-restart snapshots, if any.
+    pub checkpoint: Option<(SimDuration, SimDuration)>,
+    /// The recovery policy: the retry budget and the backoff before
+    /// each retry.
+    pub policy: RecoveryPolicy,
 }
 
 impl EngineConfig {
@@ -222,23 +103,9 @@ impl EngineConfig {
             ));
         }
         if let Some(res) = &self.resilience {
-            if self.faults.is_some() || self.checkpointing.is_some() {
-                return Err(EngineError::Config(
-                    "resilience is mutually exclusive with the legacy faults/checkpointing \
-                     options; move them into the resilience block"
-                        .into(),
-                ));
-            }
             res.validate()?;
         }
         if let Some(el) = &self.elasticity {
-            if self.faults.is_some() || self.checkpointing.is_some() {
-                return Err(EngineError::Config(
-                    "elasticity is mutually exclusive with the legacy faults/checkpointing \
-                     options; use a resilience block for failure injection"
-                        .into(),
-                ));
-            }
             el.validate()?;
         }
         Ok(())
@@ -270,22 +137,20 @@ impl EngineConfig {
     }
 
     /// Resolves the fault parameters the per-attempt occupancy model
-    /// runs with. A [`ResilienceConfig`] maps onto it only when its
-    /// failure model is exponential and transient-only and its policy is
-    /// retry-backoff or checkpoint-restart; richer configurations need
-    /// the [`ResilientRunner`](crate::ResilientRunner).
-    pub(crate) fn fault_view(&self) -> Result<FaultView, EngineError> {
+    /// runs with; `None` without a [`ResilienceConfig`]. One maps onto
+    /// the model only when its failure model is exponential and
+    /// transient-only and its policy is retry-backoff or
+    /// checkpoint-restart; richer configurations need the
+    /// [`ResilientRunner`](crate::ResilientRunner). Parameter ranges are
+    /// [`validate`](EngineConfig::validate)'s job.
+    pub(crate) fn fault_view(&self) -> Result<Option<FaultView>, EngineError> {
         if self.elasticity.is_some() {
             return Err(EngineError::Config(
                 "elastic capacity events require the ResilientRunner".into(),
             ));
         }
         let Some(res) = &self.resilience else {
-            return Ok(FaultView {
-                faults: self.faults.clone(),
-                checkpointing: self.checkpointing,
-                backoff: None,
-            });
+            return Ok(None);
         };
         let fm = &res.failures;
         if fm.weibull_shape.is_some() || fm.degraded_prob > 0.0 || fm.permanent_prob > 0.0 {
@@ -302,41 +167,29 @@ impl EngineConfig {
                     .into(),
             ));
         }
-        let faults = FaultConfig::new(
-            fm.mttf_secs,
-            SimDuration::from_secs(fm.restart_overhead_secs),
-            res.policy.max_retries(),
-        )?;
-        match res.policy {
-            RecoveryPolicy::RetryBackoff {
-                base_secs,
-                factor,
-                cap_secs,
-                ..
-            } => Ok(FaultView {
-                faults: Some(faults),
-                checkpointing: None,
-                backoff: Some((base_secs, factor, cap_secs)),
-            }),
+        let checkpoint = match res.policy {
+            RecoveryPolicy::RetryBackoff { .. } => None,
             RecoveryPolicy::CheckpointRestart {
                 interval_secs,
                 overhead_secs,
                 ..
-            } => Ok(FaultView {
-                faults: Some(faults),
-                checkpointing: Some(CheckpointConfig::new(
-                    SimDuration::from_secs(interval_secs),
-                    SimDuration::from_secs(overhead_secs),
-                )?),
-                backoff: None,
-            }),
+            } => Some((
+                SimDuration::from_secs(interval_secs),
+                SimDuration::from_secs(overhead_secs),
+            )),
             RecoveryPolicy::ReplicateK { .. } | RecoveryPolicy::Reschedule { .. } => {
-                Err(EngineError::Config(format!(
+                return Err(EngineError::Config(format!(
                     "policy {:?} requires the ResilientRunner",
                     res.policy.name()
                 )))
             }
-        }
+        };
+        Ok(Some(FaultView {
+            mtbf_secs: fm.mttf_secs,
+            restart_overhead: SimDuration::from_secs(fm.restart_overhead_secs),
+            checkpoint,
+            policy: res.policy.clone(),
+        }))
     }
 }
 
@@ -348,7 +201,7 @@ mod tests {
     fn defaults_are_ideal() {
         let c = EngineConfig::default();
         assert_eq!(c.noise_cv, 0.0);
-        assert!(c.faults.is_none());
+        assert!(c.resilience.is_none());
         assert!(!c.link_contention);
         assert!(c.validate().is_ok());
     }
@@ -367,10 +220,12 @@ mod tests {
         assert!(c.validate().is_err());
         c.device_slowdown = Some(vec![1.0, 2.0]);
         assert!(c.validate().is_ok());
-        assert!(FaultConfig::new(0.0, SimDuration::ZERO, 1).is_err());
-        assert!(FaultConfig::new(100.0, SimDuration::ZERO, 1).is_ok());
-        assert!(CheckpointConfig::new(SimDuration::ZERO, SimDuration::ZERO).is_err());
-        assert!(CheckpointConfig::new(SimDuration::from_secs(1.0), SimDuration::ZERO).is_ok());
+        let faulty = |mtbf_secs| EngineConfig {
+            resilience: Some(ResilienceConfig::flat_retry(mtbf_secs, 0.0, 1)),
+            ..Default::default()
+        };
+        assert!(faulty(0.0).validate().is_err());
+        assert!(faulty(100.0).validate().is_ok());
     }
 
     #[test]
@@ -421,43 +276,12 @@ mod tests {
     }
 
     #[test]
-    fn resilience_excludes_legacy_fault_options() {
-        use crate::resilience::FailureModel;
-        let res = ResilienceConfig::new(
-            FailureModel::exponential(10.0),
-            RecoveryPolicy::RetryBackoff {
-                base_secs: 0.0,
-                factor: 1.0,
-                cap_secs: 0.0,
-                max_retries: 3,
-            },
-        );
-        let c = EngineConfig {
-            resilience: Some(res.clone()),
-            faults: Some(FaultConfig::new(1.0, SimDuration::ZERO, 1).unwrap()),
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = EngineConfig {
-            resilience: Some(res),
-            ..Default::default()
-        };
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn fault_view_maps_compatible_policies_only() {
         use crate::resilience::FailureModel;
-        // No resilience: passes legacy options through.
-        let c = EngineConfig {
-            faults: Some(FaultConfig::new(2.0, SimDuration::ZERO, 7).unwrap()),
-            ..Default::default()
-        };
-        let v = c.fault_view().unwrap();
-        assert_eq!(v.faults.unwrap().mtbf_secs, 2.0);
-        assert!(v.backoff.is_none());
+        // No resilience: nothing to inject.
+        assert!(EngineConfig::default().fault_view().unwrap().is_none());
 
-        // Retry-backoff maps with a backoff triple.
+        // Retry-backoff maps with its policy, which supplies the backoff.
         let mk = |policy| EngineConfig {
             resilience: Some(ResilienceConfig::new(
                 FailureModel::exponential(5.0),
@@ -465,17 +289,17 @@ mod tests {
             )),
             ..Default::default()
         };
-        let v = mk(RecoveryPolicy::RetryBackoff {
+        let backoff = RecoveryPolicy::RetryBackoff {
             base_secs: 0.5,
             factor: 2.0,
             cap_secs: 4.0,
             max_retries: 9,
-        })
-        .fault_view()
-        .unwrap();
-        assert_eq!(v.faults.as_ref().unwrap().mtbf_secs, 5.0);
-        assert_eq!(v.faults.unwrap().max_retries, 9);
-        assert_eq!(v.backoff, Some((0.5, 2.0, 4.0)));
+        };
+        let v = mk(backoff.clone()).fault_view().unwrap().unwrap();
+        assert_eq!(v.mtbf_secs, 5.0);
+        assert_eq!(v.policy.max_retries(), 9);
+        assert!(v.checkpoint.is_none());
+        assert_eq!(v.policy, backoff);
 
         // Checkpoint-restart maps onto the checkpointing model.
         let v = mk(RecoveryPolicy::CheckpointRestart {
@@ -484,8 +308,12 @@ mod tests {
             max_retries: 3,
         })
         .fault_view()
+        .unwrap()
         .unwrap();
-        assert!(v.checkpointing.is_some());
+        assert_eq!(
+            v.checkpoint,
+            Some((SimDuration::from_secs(1.0), SimDuration::from_secs(0.1)))
+        );
 
         // Replication and rescheduling need the ResilientRunner.
         assert!(mk(RecoveryPolicy::ReplicateK {
@@ -496,12 +324,10 @@ mod tests {
         .is_err());
 
         // So do non-transient or non-exponential failure models.
-        let mut c = mk(RecoveryPolicy::RetryBackoff {
-            base_secs: 0.0,
-            factor: 1.0,
-            cap_secs: 0.0,
-            max_retries: 1,
-        });
+        let mut c = EngineConfig {
+            resilience: Some(ResilienceConfig::flat_retry(5.0, 0.0, 1)),
+            ..Default::default()
+        };
         c.resilience.as_mut().unwrap().failures.permanent_prob = 0.1;
         assert!(c.fault_view().is_err());
     }
@@ -518,33 +344,17 @@ mod tests {
             churn: Vec::new(),
         };
         let c = EngineConfig {
-            elasticity: Some(el.clone()),
+            elasticity: Some(el),
             ..Default::default()
         };
         assert!(c.validate().is_ok());
         let err = c.fault_view().unwrap_err().to_string();
         assert!(err.contains("ResilientRunner"), "{err}");
-        // Mutually exclusive with the legacy fault pair.
-        let c = EngineConfig {
-            elasticity: Some(el),
-            faults: Some(FaultConfig::new(1.0, SimDuration::ZERO, 1).unwrap()),
-            ..Default::default()
-        };
-        let err = c.validate().unwrap_err().to_string();
-        assert!(err.contains("mutually exclusive"), "{err}");
         // An empty elasticity block is a config error, not a silent no-op.
         let c = EngineConfig {
             elasticity: Some(ElasticityConfig::default()),
             ..Default::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn backoff_helper_math() {
-        assert_eq!(backoff_delay_secs(0.0, 2.0, 9.0, 5), 0.0);
-        assert_eq!(backoff_delay_secs(1.0, 2.0, 16.0, 1), 1.0);
-        assert_eq!(backoff_delay_secs(1.0, 2.0, 16.0, 4), 8.0);
-        assert_eq!(backoff_delay_secs(1.0, 2.0, 16.0, 10), 16.0);
     }
 }

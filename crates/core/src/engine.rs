@@ -113,7 +113,7 @@ struct PlanExec<'a> {
     config: &'a EngineConfig,
     platform: &'a Platform,
     wf: &'a Workflow,
-    view: FaultView,
+    view: Option<FaultView>,
     base_rng: SimRng,
     device_queue: Vec<Vec<TaskId>>,
     device_pos: Vec<usize>,
@@ -212,7 +212,7 @@ impl<'a> PlanExec<'a> {
         let noise = self.noise[task.0];
         let slow = slowdown_factor(self.config.device_slowdown.as_ref(), dev.0);
         let actual = modeled * noise * slow;
-        let occ = fault_occupancy(&self.view, &self.base_rng, actual, task, dev.0)?;
+        let occ = fault_occupancy(self.view.as_ref(), &self.base_rng, task.0, actual, task)?;
         self.failures += occ.failures;
         self.retries += occ.retries;
         let finish = now + occ.total;

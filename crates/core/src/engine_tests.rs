@@ -2,7 +2,7 @@
 //! path source holds only the hook implementation).
 
 use super::*;
-use crate::config::{CheckpointConfig, FaultConfig};
+use crate::resilience::{RecoveryPolicy, ResilienceConfig};
 use helios_platform::presets;
 use helios_sched::HeftScheduler;
 use helios_sim::trace::TraceKind;
@@ -108,7 +108,7 @@ fn faults_extend_makespan_and_count() {
     let clean = Engine::default().execute_plan(&p, &wf, &plan).unwrap();
     let config = EngineConfig {
         seed: 5,
-        faults: Some(FaultConfig::new(0.01, SimDuration::from_secs(0.002), 1_000).unwrap()),
+        resilience: Some(ResilienceConfig::flat_retry(0.01, 0.002, 1_000)),
         ..Default::default()
     };
     let faulty = Engine::new(config).execute_plan(&p, &wf, &plan).unwrap();
@@ -124,17 +124,18 @@ fn checkpointing_reduces_fault_overhead() {
     let plan = HeftScheduler::default().schedule(&wf, &p).unwrap();
     let base = EngineConfig {
         seed: 11,
-        faults: Some(FaultConfig::new(0.05, SimDuration::from_secs(0.002), 100_000).unwrap()),
+        resilience: Some(ResilienceConfig::flat_retry(0.05, 0.002, 100_000)),
         ..Default::default()
     };
     let without = Engine::new(base.clone())
         .execute_plan(&p, &wf, &plan)
         .unwrap();
     let mut with = base;
-    with.checkpointing = Some(
-        CheckpointConfig::new(SimDuration::from_secs(0.01), SimDuration::from_secs(0.0005))
-            .unwrap(),
-    );
+    with.resilience.as_mut().unwrap().policy = RecoveryPolicy::CheckpointRestart {
+        interval_secs: 0.01,
+        overhead_secs: 0.0005,
+        max_retries: 100_000,
+    };
     let ckpt = Engine::new(with).execute_plan(&p, &wf, &plan).unwrap();
     assert!(
         ckpt.makespan() < without.makespan(),
@@ -152,7 +153,7 @@ fn retry_budget_enforced() {
     // MTBF far below task lengths and zero retries: must abort.
     let config = EngineConfig {
         seed: 13,
-        faults: Some(FaultConfig::new(0.01, SimDuration::ZERO, 0).unwrap()),
+        resilience: Some(ResilienceConfig::flat_retry(0.01, 0.0, 0)),
         ..Default::default()
     };
     let err = Engine::new(config)
@@ -245,50 +246,4 @@ fn caching_matters_most_under_contention() {
         cached.makespan(),
         congested.makespan()
     );
-}
-
-#[test]
-fn mtbf_overrides_resolve_per_device() {
-    let f = FaultConfig::new(10.0, SimDuration::ZERO, 5)
-        .unwrap()
-        .with_per_device_mtbf(vec![None, Some(0.5)])
-        .unwrap();
-    assert_eq!(f.mtbf_for(0), 10.0);
-    assert_eq!(f.mtbf_for(1), 0.5);
-    assert_eq!(f.mtbf_for(7), 10.0, "out of range falls back");
-    assert!(FaultConfig::new(10.0, SimDuration::ZERO, 5)
-        .unwrap()
-        .with_per_device_mtbf(vec![Some(0.0)])
-        .is_err());
-}
-
-#[test]
-fn flaky_devices_attract_the_failures() {
-    let p = presets::hpc_node();
-    let wf = montage(80, 2).unwrap();
-    let plan = HeftScheduler::default().schedule(&wf, &p).unwrap();
-    // Everything reliable (MTBF 1e6 s) except gpu0 (MTBF 5 ms).
-    let mut overrides = vec![None; p.num_devices()];
-    overrides[2] = Some(0.005);
-    let config = EngineConfig {
-        seed: 4,
-        faults: Some(
-            FaultConfig::new(1e6, SimDuration::from_secs(0.001), 1_000_000)
-                .unwrap()
-                .with_per_device_mtbf(overrides)
-                .unwrap(),
-        ),
-        ..Default::default()
-    };
-    let report = Engine::new(config).execute_plan(&p, &wf, &plan).unwrap();
-    assert!(report.failures() > 0, "the flaky GPU must fail");
-    // All reliable-device tasks ran fault-free, so every retry was
-    // on gpu0: spot-check by rerunning with gpu0 also reliable.
-    let config = EngineConfig {
-        seed: 4,
-        faults: Some(FaultConfig::new(1e6, SimDuration::from_secs(0.001), 1_000_000).unwrap()),
-        ..Default::default()
-    };
-    let clean = Engine::new(config).execute_plan(&p, &wf, &plan).unwrap();
-    assert_eq!(clean.failures(), 0);
 }

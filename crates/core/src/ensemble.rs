@@ -16,7 +16,7 @@ use helios_workflow::{analysis, TaskId, Workflow};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::exec::{noise_factor, occupancy_on, slowdown_factor, LinkState, FAULT_STREAM_BASE};
+use crate::exec::{fault_occupancy, noise_factor, slowdown_factor, LinkState};
 use crate::report::TransferStats;
 
 /// One workflow in an ensemble.
@@ -251,13 +251,12 @@ impl EnsembleRunner {
                         // so each member task keeps its own draw.
                         let noise = noise_factor(self.config.noise_cv, &base_rng, g);
                         let slow = slowdown_factor(self.config.device_slowdown.as_ref(), dev.0);
-                        let mut fault_rng = base_rng.fork(FAULT_STREAM_BASE + g as u64);
-                        let occ = occupancy_on(
-                            &view,
+                        let occ = fault_occupancy(
+                            view.as_ref(),
+                            &base_rng,
+                            g,
                             modeled * noise * slow,
                             task,
-                            dev.0,
-                            &mut fault_rng,
                         )?;
                         let finish = start + occ.total;
                         device_free_pred[dev.0] = start + modeled;

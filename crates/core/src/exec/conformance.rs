@@ -35,8 +35,8 @@ fn platform(preset: usize) -> Platform {
 }
 
 /// An [`EngineConfig`] with every feature hook explicitly present but
-/// disabled: zero noise, contention/caching/tracing off, no faults, no
-/// checkpointing, and a step budget too large to ever fire. Running the
+/// disabled: zero noise, contention/caching/tracing off, no
+/// resilience, and a step budget too large to ever fire. Running the
 /// core with these hooks engaged must be indistinguishable from the
 /// default (hook-absent) configuration.
 fn all_hooks_off(seed: u64) -> EngineConfig {
@@ -46,8 +46,6 @@ fn all_hooks_off(seed: u64) -> EngineConfig {
         link_contention: false,
         data_caching: false,
         device_slowdown: None,
-        faults: None,
-        checkpointing: None,
         tracing: false,
         resilience: None,
         elasticity: None,

@@ -14,9 +14,9 @@
 //!   staging, link health, occupancy, timeline charge, completion)`,
 //!   parameterized per execution path (event type, dispatch strategy,
 //!   step-budget placement);
-//! * `occupancy_on` / `fault_occupancy` / `noise_factor` /
-//!   `slowdown_factor` — per-attempt device occupancy under noise,
-//!   checkpoint overhead and fault retries;
+//! * `fault_occupancy` / `noise_factor` / `slowdown_factor` —
+//!   per-attempt device occupancy under noise, checkpoint overhead and
+//!   fault retries;
 //! * `LinkState` — FIFO link contention and transfer-arrival math
 //!   (plain routes and explicit degraded/rerouted routes);
 //! * `DeliveredCache` — data-product residency for `data_caching`;
@@ -47,7 +47,7 @@ mod conformance;
 pub(crate) use accounting::finish_report;
 pub use accounting::IncompleteReason;
 pub(crate) use hooks::{drive, BudgetPoint, Hooks};
-pub(crate) use occupancy::{fault_occupancy, noise_factor, occupancy_on, slowdown_factor};
+pub(crate) use occupancy::{fault_occupancy, noise_factor, slowdown_factor};
 pub(crate) use realized::{repair_device_overlaps, validate_realized};
 pub(crate) use routing::{choose_route, RouteChoice};
 pub(crate) use transfer::{DeliveredCache, LinkState};

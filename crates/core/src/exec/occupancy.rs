@@ -24,44 +24,36 @@ pub(crate) struct Occupancy {
     pub retries: u32,
 }
 
-/// Computes how long a task occupies its device, folding in noise
+/// Computes how long `task` occupies its device, folding in noise
 /// already applied to `actual_work`, plus checkpoint overheads and fault
-/// retries.
-#[cfg(test)]
-pub(crate) fn occupancy(
-    config: &crate::config::EngineConfig,
+/// retries. Fault draws come from stream `FAULT_STREAM_BASE + stream`,
+/// keyed by the task's index so they never depend on event order.
+/// Without a fault view the task holds its device for exactly
+/// `actual_work`.
+pub(crate) fn fault_occupancy(
+    view: Option<&FaultView>,
+    base_rng: &SimRng,
+    stream: usize,
     actual_work: SimDuration,
     task: TaskId,
-    fault_rng: &mut SimRng,
 ) -> Result<Occupancy, EngineError> {
-    occupancy_on(&config.fault_view()?, actual_work, task, 0, fault_rng)
-}
-
-/// [`occupancy`](self) with per-device MTBF resolution.
-pub(crate) fn occupancy_on(
-    view: &FaultView,
-    actual_work: SimDuration,
-    task: TaskId,
-    device_id: usize,
-    fault_rng: &mut SimRng,
-) -> Result<Occupancy, EngineError> {
-    let ckpt_inflate = |work: SimDuration| match view.checkpointing {
-        Some(ck) => {
-            let snapshots = (work.as_secs() / ck.interval.as_secs()).floor();
-            work + ck.overhead * snapshots
-        }
-        None => work,
-    };
-    let work = ckpt_inflate(actual_work);
-    let Some(faults) = view.faults.as_ref() else {
-        // No faults: only checkpoint overhead (if configured) applies.
+    let Some(view) = view else {
         return Ok(Occupancy {
-            total: work,
-            work,
+            total: actual_work,
+            work: actual_work,
             failures: 0,
             retries: 0,
         });
     };
+    let mut fault_rng = base_rng.fork(FAULT_STREAM_BASE + stream as u64);
+    let ckpt_inflate = |work: SimDuration| match view.checkpoint {
+        Some((interval, overhead)) => {
+            let snapshots = (work.as_secs() / interval.as_secs()).floor();
+            work + overhead * snapshots
+        }
+        None => work,
+    };
+    let work = ckpt_inflate(actual_work);
 
     let mut remaining = actual_work;
     let mut total = SimDuration::ZERO;
@@ -69,8 +61,7 @@ pub(crate) fn occupancy_on(
     let mut retries = 0u32;
     loop {
         let effective = ckpt_inflate(remaining);
-        let unit = view.checkpointing.map(|ck| (ck.interval, ck.overhead));
-        let fault_at = SimDuration::from_secs(fault_rng.exponential(faults.mtbf_for(device_id)));
+        let fault_at = SimDuration::from_secs(fault_rng.exponential(view.mtbf_secs));
         if fault_at >= effective {
             total += effective;
             return Ok(Occupancy {
@@ -81,14 +72,14 @@ pub(crate) fn occupancy_on(
             });
         }
         failures += 1;
-        if retries >= faults.max_retries {
+        if retries >= view.policy.max_retries() {
             return Err(EngineError::RetriesExhausted {
                 task,
                 attempts: failures,
             });
         }
         retries += 1;
-        let preserved = match unit {
+        let preserved = match view.checkpoint {
             Some((interval, overhead)) => {
                 let stride = interval + overhead;
                 let completed_units = (fault_at.as_secs() / stride.as_secs()).floor();
@@ -97,12 +88,10 @@ pub(crate) fn occupancy_on(
             None => SimDuration::ZERO,
         };
         remaining = remaining - preserved;
-        let backoff = view.backoff.map_or(0.0, |(b, f, c)| {
-            crate::config::backoff_delay_secs(b, f, c, retries)
-        });
+        let backoff = view.policy.backoff_delay_secs(retries);
         // The attempt's time, the restart overhead and any backoff all
         // occupy the device timeline: a faulty run can only be slower.
-        total += fault_at + faults.restart_overhead + SimDuration::from_secs(backoff);
+        total += fault_at + view.restart_overhead + SimDuration::from_secs(backoff);
     }
 }
 
@@ -124,42 +113,101 @@ pub(crate) fn slowdown_factor(slowdown: Option<&Vec<f64>>, device: usize) -> f64
     slowdown.and_then(|v| v.get(device)).copied().unwrap_or(1.0)
 }
 
-/// [`occupancy_on`] with the task's fault stream
-/// (`FAULT_STREAM_BASE + task`) forked in place, so callers cannot
-/// accidentally key fault draws by event order.
-pub(crate) fn fault_occupancy(
-    view: &FaultView,
-    base_rng: &SimRng,
-    actual_work: SimDuration,
-    task: TaskId,
-    device_id: usize,
-) -> Result<Occupancy, EngineError> {
-    let mut fault_rng = base_rng.fork(FAULT_STREAM_BASE + task.0 as u64);
-    occupancy_on(view, actual_work, task, device_id, &mut fault_rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CheckpointConfig, EngineConfig};
+    use crate::config::EngineConfig;
+    use crate::resilience::{FailureModel, RecoveryPolicy, ResilienceConfig};
+
+    fn occupancy(config: &EngineConfig, work: f64, rng: &SimRng) -> Occupancy {
+        let view = config.fault_view().unwrap();
+        fault_occupancy(
+            view.as_ref(),
+            rng,
+            0,
+            SimDuration::from_secs(work),
+            TaskId(0),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn occupancy_math() {
-        let mut rng = SimRng::seed_from(1);
-        // No faults, no checkpoints: identity.
-        let cfg = EngineConfig::default();
-        let occ = occupancy(&cfg, SimDuration::from_secs(10.0), TaskId(0), &mut rng).unwrap();
+        let rng = SimRng::seed_from(1);
+        // No faults: identity.
+        let occ = occupancy(&EngineConfig::default(), 10.0, &rng);
         assert_eq!(occ.total.as_secs(), 10.0);
         assert_eq!(occ.failures, 0);
-        // Checkpoints only: 10s work, 3s interval → 3 snapshots × 0.5s.
+        // Checkpoints on a device that never fails: 10s work, 3s
+        // interval → 3 snapshots × 0.5s.
         let cfg = EngineConfig {
-            checkpointing: Some(
-                CheckpointConfig::new(SimDuration::from_secs(3.0), SimDuration::from_secs(0.5))
-                    .unwrap(),
-            ),
+            resilience: Some(ResilienceConfig::new(
+                FailureModel::exponential(1e300),
+                RecoveryPolicy::CheckpointRestart {
+                    interval_secs: 3.0,
+                    overhead_secs: 0.5,
+                    max_retries: 0,
+                },
+            )),
             ..Default::default()
         };
-        let occ = occupancy(&cfg, SimDuration::from_secs(10.0), TaskId(0), &mut rng).unwrap();
+        let occ = occupancy(&cfg, 10.0, &rng);
         assert!((occ.total.as_secs() - 11.5).abs() < 1e-9);
+        assert_eq!(occ.failures, 0);
+    }
+
+    #[test]
+    fn retries_pay_restart_overhead_and_backoff() {
+        // Failures every ~1 ms against a 10 s task with a budget of 3:
+        // the attempts run out.
+        let cfg = EngineConfig {
+            resilience: Some(ResilienceConfig::flat_retry(1e-3, 0.0, 3)),
+            ..Default::default()
+        };
+        let view = cfg.fault_view().unwrap();
+        let err = fault_occupancy(
+            view.as_ref(),
+            &SimRng::seed_from(2),
+            4,
+            SimDuration::from_secs(10.0),
+            TaskId(4),
+        )
+        .err()
+        .unwrap();
+        assert!(matches!(
+            err,
+            EngineError::RetriesExhausted {
+                task: TaskId(4),
+                attempts: 4
+            }
+        ));
+        // A backoff policy stretches the same fault trace by exactly the
+        // policy's delays.
+        let flat = EngineConfig {
+            resilience: Some(ResilienceConfig::flat_retry(0.5, 0.25, 1_000)),
+            ..Default::default()
+        };
+        let mut backoff = flat.clone();
+        backoff.resilience.as_mut().unwrap().policy = RecoveryPolicy::RetryBackoff {
+            base_secs: 1.0,
+            factor: 2.0,
+            cap_secs: 3.0,
+            max_retries: 1_000,
+        };
+        let a = occupancy(&flat, 2.0, &SimRng::seed_from(3));
+        let b = occupancy(&backoff, 2.0, &SimRng::seed_from(3));
+        assert!(a.retries > 0);
+        assert_eq!(a.retries, b.retries);
+        let delays: f64 = (1..=b.retries)
+            .map(|r| {
+                backoff
+                    .resilience
+                    .as_ref()
+                    .unwrap()
+                    .policy
+                    .backoff_delay_secs(r)
+            })
+            .sum();
+        assert!((b.total.as_secs() - a.total.as_secs() - delays).abs() < 1e-9);
     }
 }

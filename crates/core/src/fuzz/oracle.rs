@@ -186,7 +186,7 @@ fn single_cell_oracles(
 /// An [`EngineConfig`] with every feature hook explicitly present but
 /// disabled — the fuzz-facing twin of the conformance embryo's
 /// `all_hooks_off` (which is test-only): zero noise,
-/// contention/caching/tracing off, no faults or checkpointing, and a
+/// contention/caching/tracing off, no resilience, and a
 /// step budget too large to ever fire.
 fn all_hooks_off(seed: u64) -> EngineConfig {
     EngineConfig {
@@ -195,8 +195,6 @@ fn all_hooks_off(seed: u64) -> EngineConfig {
         link_contention: false,
         data_caching: false,
         device_slowdown: None,
-        faults: None,
-        checkpointing: None,
         tracing: false,
         resilience: None,
         elasticity: None,

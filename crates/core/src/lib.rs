@@ -107,7 +107,7 @@ pub use campaign::{
     ResilienceKnob, SchedulerParamsKnob, SeedRange, ShardReport, ShardSpec, StoreOptions, StoreRun,
     SummaryRow, SweepCell, SweepDriver, SweepReport,
 };
-pub use config::{CheckpointConfig, EngineConfig, FaultConfig};
+pub use config::EngineConfig;
 pub use elastic::{
     ElasticChurn, ElasticEvent, ElasticEventKind, ElasticityConfig, ElasticityMetrics,
 };

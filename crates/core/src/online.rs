@@ -191,7 +191,7 @@ struct OnlineExec<'a> {
     platform: &'a Platform,
     wf: &'a Workflow,
     believed: &'a Workflow,
-    view: FaultView,
+    view: Option<FaultView>,
     base_rng: SimRng,
     noise: Vec<f64>,
     ranks: Vec<f64>,
@@ -345,11 +345,11 @@ impl OnlineExec<'_> {
                 let slow = slowdown_factor(self.config.device_slowdown.as_ref(), dev.0);
                 let noise = self.noise[task.0];
                 let occ = fault_occupancy(
-                    &self.view,
+                    self.view.as_ref(),
                     &self.base_rng,
+                    task.0,
                     modeled * noise * slow,
                     task,
-                    dev.0,
                 )?;
                 self.failures += occ.failures;
                 self.retries += occ.retries;

@@ -8,8 +8,8 @@
 //! runtime does about them:
 //!
 //! * [`RecoveryPolicy::RetryBackoff`] — re-run the aborted attempt after
-//!   a capped exponential backoff (the flat retry of
-//!   [`FaultConfig`](crate::FaultConfig) is the `base_secs = 0` special
+//!   a capped exponential backoff (flat retry,
+//!   [`ResilienceConfig::flat_retry`], is the `base_secs = 0` special
 //!   case),
 //! * [`RecoveryPolicy::ReplicateK`] — run `k` copies of every task on
 //!   distinct devices; the first finisher wins and the rest are
@@ -426,7 +426,10 @@ impl RecoveryPolicy {
         }
     }
 
-    /// Backoff delay before retry `retry` (1-based), seconds.
+    /// Backoff delay before retry `retry` (1-based), seconds: capped
+    /// exponential `min(base · factor^(retry-1), cap)` under
+    /// retry-backoff, zero when `base` is zero (flat retry) and under
+    /// every other policy.
     #[must_use]
     pub fn backoff_delay_secs(&self, retry: u32) -> f64 {
         match *self {
@@ -435,7 +438,9 @@ impl RecoveryPolicy {
                 factor,
                 cap_secs,
                 ..
-            } => crate::config::backoff_delay_secs(base_secs, factor, cap_secs, retry),
+            } if base_secs != 0.0 => {
+                (base_secs * factor.powi(retry.saturating_sub(1) as i32)).min(cap_secs)
+            }
             _ => 0.0,
         }
     }
@@ -541,6 +546,31 @@ impl ResilienceConfig {
             link_faults: None,
             domains: Vec::new(),
         }
+    }
+
+    /// Flat retry under exponential transient-only device failures: the
+    /// classical Poisson fault model, where a failure aborts the running
+    /// attempt and the task restarts from scratch after
+    /// `restart_overhead_secs`, at most `max_retries` times. Every
+    /// executor accepts it.
+    #[must_use]
+    pub fn flat_retry(
+        mtbf_secs: f64,
+        restart_overhead_secs: f64,
+        max_retries: u32,
+    ) -> ResilienceConfig {
+        ResilienceConfig::new(
+            FailureModel {
+                restart_overhead_secs,
+                ..FailureModel::exponential(mtbf_secs)
+            },
+            RecoveryPolicy::RetryBackoff {
+                base_secs: 0.0,
+                factor: 1.0,
+                cap_secs: 0.0,
+                max_retries,
+            },
+        )
     }
 
     /// Adds a per-link interconnect-fault model.

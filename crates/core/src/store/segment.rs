@@ -295,6 +295,19 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The fewest payload bytes one row of a group occupies: its
+/// fixed-width values plus a 4-byte dictionary code per string column.
+fn min_row_bytes() -> usize {
+    Column::ALL
+        .iter()
+        .map(|col| match col.column_type() {
+            ColumnType::U64 | ColumnType::F64 => 8,
+            ColumnType::U32 | ColumnType::Str | ColumnType::OptStr => 4,
+            ColumnType::Bool => 1,
+        })
+        .sum()
+}
+
 /// Decodes one columnar group payload back to full-schema rows.
 /// `None` on any structural damage (the caller treats the record as
 /// the start of the torn tail).
@@ -303,8 +316,10 @@ fn decode_group(payload: &[u8]) -> Option<Vec<Row>> {
         bytes: payload,
         at: 0,
     };
+    // A row count the payload cannot hold is damage: refuse it before
+    // allocating a single row.
     let rows = cur.u32()? as usize;
-    if rows > MAX_RECORD_LEN as usize {
+    if rows.checked_mul(min_row_bytes())? > payload.len() {
         return None;
     }
     // Not `vec![Vec::with_capacity(..); rows]`: cloning an empty Vec
@@ -345,8 +360,9 @@ fn decode_group(payload: &[u8]) -> Option<Vec<Row>> {
             }
             ColumnType::Str | ColumnType::OptStr => {
                 let nullable = col.column_type() == ColumnType::OptStr;
+                // Each dictionary entry is at least its 4-byte length.
                 let entries = cur.u32()? as usize;
-                if entries > payload.len() {
+                if entries.checked_mul(4)? > payload.len() - cur.at {
                     return None;
                 }
                 let mut dict: Vec<String> = Vec::with_capacity(entries);

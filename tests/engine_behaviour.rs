@@ -3,12 +3,12 @@
 //! threaded executor.
 
 use helios::core::{
-    CheckpointConfig, Engine, EngineConfig, FaultConfig, OnlinePolicy, OnlineRunner,
+    Engine, EngineConfig, OnlinePolicy, OnlineRunner, RecoveryPolicy, ResilienceConfig,
 };
 use helios::energy::{reclaim_slack, Powersave};
 use helios::platform::presets;
 use helios::sched::{HeftScheduler, Scheduler};
-use helios::sim::{SimDuration, SimTime};
+use helios::sim::SimTime;
 use helios::workflow::generators::{cybershake, epigenomics, montage};
 
 #[test]
@@ -19,11 +19,14 @@ fn report_is_fully_deterministic() {
         noise_cv: 0.4,
         seed: 1234,
         link_contention: true,
-        faults: Some(FaultConfig::new(0.05, SimDuration::from_secs(0.001), 1_000_000).unwrap()),
-        checkpointing: Some(
-            CheckpointConfig::new(SimDuration::from_secs(0.005), SimDuration::from_secs(1e-4))
-                .unwrap(),
-        ),
+        resilience: Some(ResilienceConfig {
+            policy: RecoveryPolicy::CheckpointRestart {
+                interval_secs: 0.005,
+                overhead_secs: 1e-4,
+                max_retries: 1_000_000,
+            },
+            ..ResilienceConfig::flat_retry(0.05, 0.001, 1_000_000)
+        }),
         ..Default::default()
     };
     let plan = HeftScheduler::default().schedule(&wf, &platform).unwrap();
@@ -48,11 +51,14 @@ fn fault_overhead_grows_as_mtbf_shrinks() {
     for mtbf in [1.0, 0.2, 0.05] {
         let config = EngineConfig {
             seed: 3,
-            faults: Some(FaultConfig::new(mtbf, SimDuration::from_secs(0.002), 1_000_000).unwrap()),
-            checkpointing: Some(
-                CheckpointConfig::new(SimDuration::from_secs(0.01), SimDuration::from_secs(2e-4))
-                    .unwrap(),
-            ),
+            resilience: Some(ResilienceConfig {
+                policy: RecoveryPolicy::CheckpointRestart {
+                    interval_secs: 0.01,
+                    overhead_secs: 2e-4,
+                    max_retries: 1_000_000,
+                },
+                ..ResilienceConfig::flat_retry(mtbf, 0.002, 1_000_000)
+            }),
             ..Default::default()
         };
         let report = Engine::new(config)

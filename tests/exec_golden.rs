@@ -24,12 +24,10 @@ use std::path::PathBuf;
 
 use helios::core::{
     ElasticEvent, ElasticEventKind, ElasticityConfig, Engine, EngineConfig, ExecutionReport,
-    FailureModel, FaultConfig, OnlinePolicy, OnlineRunner, RecoveryPolicy, ResilienceConfig,
-    ResilientRunner,
+    FailureModel, OnlinePolicy, OnlineRunner, RecoveryPolicy, ResilienceConfig, ResilientRunner,
 };
 use helios::platform::presets;
 use helios::sched::{HeftScheduler, Scheduler};
-use helios::sim::SimDuration;
 use helios::workflow::generators::montage;
 
 fn fixture_path() -> PathBuf {
@@ -128,10 +126,7 @@ fn current_entries() -> Vec<GoldenEntry> {
             "legacy_faults",
             Engine::new(EngineConfig {
                 seed: 3,
-                faults: Some(
-                    FaultConfig::new(0.05, SimDuration::from_secs(0.0005), 100)
-                        .expect("fault parameters are valid"),
-                ),
+                resilience: Some(ResilienceConfig::flat_retry(0.05, 0.0005, 100)),
                 ..Default::default()
             })
             .execute_plan(&platform, &wf, &plan)
@@ -195,6 +190,39 @@ fn current_entries() -> Vec<GoldenEntry> {
             })
             .run(&platform, &wf, &HeftScheduler::default())
             .expect("elastic"),
+        ),
+        (
+            // Flat retry plus checkpointing on the static engine: the
+            // T8 experiment's shape, with the interval scaled to the
+            // pinned cell's millisecond tasks so snapshots are taken.
+            "legacy_faults_checkpoint",
+            Engine::new(EngineConfig {
+                seed: 3,
+                resilience: Some(ResilienceConfig {
+                    policy: RecoveryPolicy::CheckpointRestart {
+                        interval_secs: 0.001,
+                        overhead_secs: 5e-5,
+                        max_retries: 10_000_000,
+                    },
+                    ..ResilienceConfig::flat_retry(0.01, 0.0005, 10_000_000)
+                }),
+                ..Default::default()
+            })
+            .execute_plan(&platform, &wf, &plan)
+            .expect("legacy_faults_checkpoint"),
+        ),
+        (
+            "online_legacy_faults",
+            OnlineRunner::new(
+                EngineConfig {
+                    seed: 3,
+                    resilience: Some(ResilienceConfig::flat_retry(0.05, 0.0005, 100)),
+                    ..Default::default()
+                },
+                OnlinePolicy::RankedJit,
+            )
+            .run(&platform, &wf)
+            .expect("online_legacy_faults"),
         ),
     ];
 

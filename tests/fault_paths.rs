@@ -10,13 +10,12 @@
 
 use helios_core::{
     merge_shards, CampaignSpec, Engine, EngineConfig, EngineError, FailureDomain, FailureModel,
-    FaultConfig, LinkFaultModel, OnlinePolicy, OnlineRunner, RecoveryPolicy, ResilienceConfig,
-    ResilientRunner, ShardSpec, SweepDriver,
+    LinkFaultModel, OnlinePolicy, OnlineRunner, RecoveryPolicy, ResilienceConfig, ResilientRunner,
+    ShardSpec, SweepDriver,
 };
 use helios_platform::presets;
 use helios_platform::{DeviceBuilder, DeviceKind, InterconnectBuilder, Platform, PlatformBuilder};
 use helios_sched::HeftScheduler;
-use helios_sim::SimDuration;
 use helios_workflow::generators::montage;
 use helios_workflow::Workflow;
 
@@ -24,10 +23,7 @@ fn config(mtbf_secs: f64, max_retries: u32, seed: u64) -> EngineConfig {
     EngineConfig {
         seed,
         noise_cv: 0.05,
-        faults: Some(
-            FaultConfig::new(mtbf_secs, SimDuration::from_secs(0.001), max_retries)
-                .expect("fault parameters are valid"),
-        ),
+        resilience: Some(ResilienceConfig::flat_retry(mtbf_secs, 0.001, max_retries)),
         ..EngineConfig::default()
     }
 }

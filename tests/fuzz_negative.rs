@@ -5,6 +5,8 @@
 //! panic, and never a silent acceptance. This is the flip side of the
 //! generator's valid-by-construction guarantee: `helios fuzz` only
 //! explores legal specs, so this test patrols the illegal border.
+//! Hostile nesting gets the same treatment in every JSON format the CLI
+//! reads: specs, workflows, platforms and `--in` reports.
 
 use proptest::prelude::*;
 
@@ -23,6 +25,11 @@ fn spec_with(extra: &str) -> String {
         }}"#
     )
 }
+
+/// A run of unclosed `[` far past the JSON parser's nesting limit. Each
+/// level used to be one stack frame, and this many overflowed the stack
+/// and aborted the process instead of failing the parse.
+const DEEP_NESTING: usize = 200_000;
 
 /// Garbage identifiers substituted for family / platform / scheduler /
 /// kind names; indexed by the proptest-drawn `tag`.
@@ -244,11 +251,50 @@ fn corruptions(bad: &str, poison: f64) -> Vec<Corruption> {
             needle: "mtbp_secs",
         },
         Corruption {
+            label: "deeply nested JSON",
+            json: spec_with(&format!(r#", "noise_cv": {}"#, "[".repeat(DEEP_NESTING))),
+            needle: "recursion limit exceeded",
+        },
+        Corruption {
             label: "truncated JSON",
             json: spec_with("").split_at(40).0.to_owned(),
             needle: "malformed",
         },
     ]
+}
+
+/// Deep nesting in the workflow and platform JSON `helios run` and
+/// `helios analyze` read, and in the JSON reports `helios query` and
+/// `campaign merge` take through `--in`: each is a typed parse error
+/// naming the limit, never a stack overflow.
+#[test]
+fn deeply_nested_json_fails_typed_in_every_format() {
+    let deep = "[".repeat(DEEP_NESTING);
+    let named = |label: &str, msg: String| {
+        assert!(
+            msg.contains("recursion limit exceeded"),
+            "{label}: error does not name the nesting limit: {msg}"
+        );
+    };
+    let workflow = format!(r#"{{"name": "deep", "tasks": {deep}"#);
+    match helios_workflow::io::from_json(&workflow) {
+        Err(e @ helios_workflow::io::WorkflowIoError::Json(_)) => named("workflow", e.to_string()),
+        other => panic!("workflow: expected a JSON error, got {other:?}"),
+    }
+    let platform = format!(r#"{{"name": "deep", "devices": {deep}"#);
+    match serde_json::from_str::<helios_platform::Platform>(&platform) {
+        Err(e) => named("platform", e.to_string()),
+        Ok(_) => panic!("platform: deeply nested JSON was accepted"),
+    }
+    let report = format!(r#"{{"spec_name": "deep", "cells": {deep}"#);
+    match serde_json::from_str::<helios_core::ShardReport>(&report) {
+        Err(e) => named("shard report", e.to_string()),
+        Ok(_) => panic!("shard report: deeply nested JSON was accepted"),
+    }
+    match serde_json::from_str::<helios_core::SweepReport>(&report) {
+        Err(e) => named("sweep report", e.to_string()),
+        Ok(_) => panic!("sweep report: deeply nested JSON was accepted"),
+    }
 }
 
 /// One query corruption class: a label, the corrupted expression, and

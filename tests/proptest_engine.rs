@@ -135,10 +135,7 @@ proptest! {
             .unwrap();
         // Faults configured with an astronomically long MTBF never fire.
         let config = EngineConfig {
-            faults: Some(
-                helios::core::FaultConfig::new(1e15, helios::sim::SimDuration::ZERO, budget)
-                    .unwrap(),
-            ),
+            resilience: Some(helios::core::ResilienceConfig::flat_retry(1e15, 0.0, budget)),
             ..Default::default()
         };
         let b = Engine::new(config).execute_plan(&platform, &wf, &plan).unwrap();

@@ -7,11 +7,10 @@
 //! probability the closed form predicts:
 //! `R = exp(−Σ duration / MTBF)`.
 
-use helios::core::{Engine, EngineConfig, EngineError, FaultConfig};
+use helios::core::{Engine, EngineConfig, EngineError, ResilienceConfig};
 use helios::platform::presets;
 use helios::sched::reliability::{schedule_reliability, uniform_rates};
 use helios::sched::{HeftScheduler, Scheduler};
-use helios::sim::SimDuration;
 use helios::workflow::generators::montage;
 
 #[test]
@@ -40,7 +39,7 @@ fn analytic_reliability_matches_monte_carlo() {
     for seed in 0..runs {
         let config = EngineConfig {
             seed,
-            faults: Some(FaultConfig::new(mtbf, SimDuration::ZERO, 0).unwrap()),
+            resilience: Some(ResilienceConfig::flat_retry(mtbf, 0.0, 0)),
             ..Default::default()
         };
         match Engine::new(config).execute_plan(&platform, &wf, &plan) {
