@@ -83,6 +83,10 @@ pub struct EnsembleReport {
     pub total_energy_j: f64,
     /// Aggregate transfer statistics.
     pub transfers: TransferStats,
+    /// Injected faults, summed over tasks.
+    pub failures: u32,
+    /// Retries performed, summed over tasks.
+    pub retries: u32,
 }
 
 /// Executes workflow ensembles with just-in-time dispatch.
@@ -156,6 +160,7 @@ impl EnsembleRunner {
         let base_rng = SimRng::seed_from(self.config.seed);
         let mut links = LinkState::new(platform);
         let mut stats = TransferStats::default();
+        let (mut failures, mut retries) = (0u32, 0u32);
         let mut completed = 0usize;
 
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,6 +263,8 @@ impl EnsembleRunner {
                             modeled * noise * slow,
                             task,
                         )?;
+                        failures += occ.failures;
+                        retries += occ.retries;
                         let finish = start + occ.total;
                         device_free_pred[dev.0] = start + modeled;
                         realized[g] = Some(Placement {
@@ -351,6 +358,8 @@ impl EnsembleRunner {
             makespan: overall_finish.saturating_since(SimTime::ZERO),
             total_energy_j: total_energy,
             transfers: stats,
+            failures,
+            retries,
             members: reports,
         })
     }
@@ -461,6 +470,31 @@ mod tests {
                 assert_eq!(m.schedule.placements().len(), 60);
             }
         }
+    }
+
+    #[test]
+    fn fault_tally_counts_injected_failures() {
+        use crate::ResilienceConfig;
+        let p = presets::hpc_node();
+        let members = [
+            member(montage(40, 1).unwrap(), 0.0, 1.0),
+            member(cybershake(40, 2).unwrap(), 0.5, 1.0),
+        ];
+        let run = |resilience| {
+            let config = EngineConfig {
+                resilience,
+                ..EngineConfig::default()
+            };
+            EnsembleRunner::new(config, EnsemblePolicy::Fifo)
+                .run(&p, &members)
+                .unwrap()
+        };
+        let clean = run(None);
+        assert_eq!((clean.failures, clean.retries), (0, 0));
+        let faulty = run(Some(ResilienceConfig::flat_retry(0.05, 0.01, 1_000)));
+        assert!(faulty.failures > 0, "no fault injected");
+        // Flat retry retries every failure it survives.
+        assert_eq!(faulty.retries, faulty.failures);
     }
 
     #[test]

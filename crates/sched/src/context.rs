@@ -169,6 +169,17 @@ impl<'a> SchedContext<'a> {
         Ok(ready)
     }
 
+    /// The transfer time of `bytes` from `from` to `to`, as
+    /// [`SchedContext::data_ready`] charges it.
+    pub(crate) fn transfer_time(
+        &self,
+        bytes: f64,
+        from: DeviceId,
+        to: DeviceId,
+    ) -> Result<SimDuration, SchedError> {
+        Ok(self.pair_terms.transfer_time(bytes, from, to)?)
+    }
+
     /// Reference implementation of [`SchedContext::data_ready`] that
     /// bypasses the pair-term table and queries the platform model
     /// directly. Exists so tests can assert the cache is bit-identical;
@@ -205,9 +216,21 @@ impl<'a> SchedContext<'a> {
     /// Same as [`SchedContext::data_ready`].
     pub fn eft(&self, task: TaskId, device: DeviceId) -> Result<(SimTime, SimTime), SchedError> {
         let ready = self.data_ready(task, device)?;
+        Ok(self.eft_after(task, device, ready))
+    }
+
+    /// [`SchedContext::eft`] with `task`'s data-ready time on `device`
+    /// already known, so a caller caching data-ready times only re-asks
+    /// the device's timeline.
+    pub(crate) fn eft_after(
+        &self,
+        task: TaskId,
+        device: DeviceId,
+        ready: SimTime,
+    ) -> (SimTime, SimTime) {
         let exec = self.exec[task.0][device.0];
         let start = self.timelines[device.0].earliest_start(ready, exec, self.insertion);
-        Ok((start, start + exec))
+        (start, start + exec)
     }
 
     /// The memory-feasible device minimizing EFT for `task`, with its
